@@ -3,9 +3,9 @@
 Exact side: branch enumeration over the sender's measurement outcomes,
 the asymmetric binary (Z) channel model with its mutual information and
 capacity, and a fully unitary ancilla variant of the sender's
-measurement. Statistical side: a chunked, vectorized Monte Carlo engine
-that simulates the same prepare/measure/restore/measure pipeline across
-many trials at once.
+measurement. Statistical side: a chunked Monte Carlo engine that runs
+the protocol circuit through the batched circuit executor, many trials
+at once.
 
 Channel orientation: sending 0 is noiseless (the receiver can never
 decode 1), sending 1 is missed when every pair in the block comes up 0,
@@ -20,14 +20,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import ALICE_QUBIT, BOB_QUBIT, AliceAction, prepare_pair, restore
+from .dsl import _run_batch
+from .protocol import (
+    ALICE_QUBIT,
+    BOB_QUBIT,
+    AliceAction,
+    _protocol_circuit,
+    prepare_pair,
+    restore,
+)
 from .statevector import (
     MIN_BRANCH_PROBABILITY,
-    StateVector,
-    _apply_cnot,
-    _apply_hadamard,
-    _born_probabilities,
-    _select_outcomes,
     apply_gate,
     cnot,
     collapse_qubit,
@@ -75,10 +78,6 @@ class EmpiricalDistribution:
     stderr: float
     trials: int
     count_bob_1: int
-
-    @property
-    def distribution(self) -> OutcomeDistribution:
-        return OutcomeDistribution(self.p_bob_0, self.p_bob_1)
 
 
 @dataclass(frozen=True)
@@ -259,40 +258,13 @@ def channel_capacity(channel: ZChannel) -> tuple[float, float]:
 # --- vectorized Monte Carlo engine ------------------------------------------
 
 
-def _measure_rows(states: np.ndarray, qubit: int, rng: np.random.Generator) -> np.ndarray:
-    """Measure ``qubit`` on every row of ``states`` in place.
+def _simulate(action: AliceAction, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Outcome bits of ``count`` independent protocol pairs, one row per
+    measurement (the sender's, if she measures, then the receiver's).
 
-    Consumes one uniform per row; returns the outcome bits as a bool array.
+    Each measurement draws ``count`` uniforms from ``rng`` in turn.
     """
-    p0, p1 = _born_probabilities(states, qubit)
-    ones = _select_outcomes(p0, p1, rng.random(states.shape[0]))
-    v = states.reshape(states.shape[0], -1, 2, 1 << qubit)
-    v[ones, :, 0, :] = 0.0  # rows that measured 1 lose their 0-branch
-    v[~ones, :, 1, :] = 0.0
-    states *= (1.0 / np.sqrt(np.where(ones, p1, p0)))[:, None]
-    return ones
-
-
-def _simulate_pairs(
-    action: AliceAction, count: int, rng: np.random.Generator
-) -> tuple[np.ndarray | None, np.ndarray]:
-    """Run ``count`` independent protocol pairs through the full pipeline.
-
-    Same gate and measurement arithmetic as the scalar protocol path,
-    batched across trials. Returns (sender outcomes or None, receiver
-    outcomes) as bool arrays.
-    """
-    states = np.zeros((count, 4), dtype=np.complex128)
-    states[:, 0] = 1.0
-    _apply_hadamard(states, BOB_QUBIT)
-    _apply_cnot(states, BOB_QUBIT, ALICE_QUBIT, 2)
-    alice = None
-    if action is AliceAction.MEASURE:
-        alice = _measure_rows(states, ALICE_QUBIT, rng)
-    _apply_cnot(states, BOB_QUBIT, ALICE_QUBIT, 2)
-    _apply_hadamard(states, BOB_QUBIT)
-    bob = _measure_rows(states, BOB_QUBIT, rng)
-    return alice, bob
+    return _run_batch(_protocol_circuit(action), rng.random((1 + action.bit, count)))
 
 
 def _chunk_sizes(trials: int) -> list[int]:
@@ -329,8 +301,7 @@ def monte_carlo_distribution(
         raise ValueError(f"trials must be >= 1, got {trials}")
 
     def chunk_ones(size: int, stream: np.random.Generator) -> int:
-        _, bob = _simulate_pairs(action, size, stream)
-        return int(np.count_nonzero(bob))
+        return int(np.count_nonzero(_simulate(action, size, stream)[-1]))
 
     count_bob_1 = sum(_map_chunks(chunk_ones, trials, rng, workers))
     p1 = count_bob_1 / trials
@@ -354,7 +325,7 @@ def monte_carlo_block_error(
     """Empirical OR-decode statistics over Monte Carlo blocks.
 
     Each block runs ``n_pairs`` fresh pairs through the pipeline and
-    decodes their OR, mirroring the scalar ``protocol.run_block``.
+    decodes their OR, mirroring ``protocol.run_block``.
     """
     action = AliceAction(action)
     if n_pairs < 1:
@@ -365,8 +336,7 @@ def monte_carlo_block_error(
     def chunk_decoded_ones(size: int, stream: np.random.Generator) -> int:
         any_one = np.zeros(size, dtype=bool)
         for _ in range(n_pairs):
-            _, bob = _simulate_pairs(action, size, stream)
-            any_one |= bob
+            any_one |= _simulate(action, size, stream)[-1]
         return int(np.count_nonzero(any_one))
 
     count = sum(_map_chunks(chunk_decoded_ones, blocks, rng, workers))
@@ -381,7 +351,7 @@ def _joint_counts(trials: int, rng: np.random.Generator, workers: int = 1) -> np
         raise ValueError(f"trials must be >= 1, got {trials}")
 
     def chunk_table(size: int, stream: np.random.Generator) -> np.ndarray:
-        alice, bob = _simulate_pairs(AliceAction.MEASURE, size, stream)
+        alice, bob = _simulate(AliceAction.MEASURE, size, stream)
         table = np.zeros((2, 2), dtype=np.int64)
         for a in (0, 1):
             for b in (0, 1):

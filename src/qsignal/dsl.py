@@ -22,16 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .statevector import (
-    MAX_QUBITS,
-    RandomSource,
-    _apply_cnot,
-    _apply_hadamard,
-    _apply_not,
-    _born_probabilities,
-    _collapse_branch,
-    _select_outcome,
-)
+from .statevector import MAX_QUBITS, _apply_cnot, _apply_hadamard, _apply_not, _measure
 
 
 class ParseError(ValueError):
@@ -81,6 +72,12 @@ class RunRecord:
 
 _ARITY = {"qubits": 1, "h": 1, "x": 1, "cnot": 2, "measure": 1}
 _INT_RE = re.compile(r"[0-9]+\Z")
+# Longer operands are rejected before int(), whose digit limit
+# (sys.set_int_max_str_digits) is never set below 640.
+_MAX_DIGITS = 640
+# `execute` holds at most this many amplitudes (4 MiB) per batch of shots,
+# so circuits of 18 or more qubits still run one shot at a time.
+_BATCH_AMPLITUDES = 1 << 18
 
 
 def parse(text: str) -> Circuit:
@@ -104,6 +101,8 @@ def parse(text: str) -> Circuit:
         for tok in tokens[1:]:
             if not _INT_RE.match(tok):
                 raise ParseError(f"malformed integer '{tok}'", lineno)
+            if len(tok) > _MAX_DIGITS:
+                raise ParseError(f"integer of {len(tok)} digits is too long", lineno)
             args.append(int(tok))
         if op == "qubits":
             if num_qubits is not None:
@@ -143,33 +142,48 @@ def load(path) -> Circuit:
         return parse(fh.read())
 
 
-def execute(circuit: Circuit, shots: int, rng: RandomSource) -> list[RunRecord]:
+def _run_batch(circuit: Circuit, uniforms: np.ndarray) -> np.ndarray:
+    """Run ``uniforms.shape[1]`` shots of ``circuit``, each from the ground state.
+
+    Row k of ``uniforms`` holds the draws for the k-th ``measure``, one
+    per shot. Returns the outcome bits as a bool array of the same shape.
+    """
+    amps = np.zeros((uniforms.shape[1], 1 << circuit.num_qubits), dtype=np.complex128)
+    amps[:, 0] = 1.0
+    bits = np.empty(uniforms.shape, dtype=bool)
+    k = 0
+    for ins in circuit.instructions:
+        if ins.op == "h":
+            _apply_hadamard(amps, ins.args[0])
+        elif ins.op == "x":
+            _apply_not(amps, ins.args[0])
+        elif ins.op == "cnot":
+            _apply_cnot(amps, ins.args[0], ins.args[1], circuit.num_qubits)
+        else:
+            bits[k] = _measure(amps, ins.args[0], uniforms[k])[0]
+            k += 1
+    return bits
+
+
+def execute(circuit: Circuit, shots: int, rng: np.random.Generator) -> list[RunRecord]:
     """Run the circuit ``shots`` times, each from the ground state.
 
-    Measurements collapse the state and consume one uniform each; shots
-    consume the stream sequentially, so a fixed seed reproduces every
-    record bit for bit.
+    Shots run in batches through one vectorized pass over the program.
+    Each measurement collapses the state and consumes one uniform; the
+    uniforms are drawn shot by shot, in program order within a shot, as
+    ``rng.random((shots, measurements))`` lays them out, so a fixed seed
+    reproduces every record bit for bit at any batch size.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    amps = np.zeros(1 << circuit.num_qubits, dtype=np.complex128)
+    measures = [(ins.line, ins.args[0]) for ins in circuit.instructions if ins.op == "measure"]
+    batch = max(1, _BATCH_AMPLITUDES >> circuit.num_qubits)
     records = []
-    for shot in range(shots):
-        amps[:] = 0.0
-        amps[0] = 1.0
-        outcomes = []
-        for ins in circuit.instructions:
-            if ins.op == "h":
-                _apply_hadamard(amps, ins.args[0])
-            elif ins.op == "x":
-                _apply_not(amps, ins.args[0])
-            elif ins.op == "cnot":
-                _apply_cnot(amps, ins.args[0], ins.args[1], circuit.num_qubits)
-            else:
-                qubit = ins.args[0]
-                p0, p1 = _born_probabilities(amps, qubit)
-                bit = _select_outcome(float(p0), float(p1), rng.random())
-                _collapse_branch(amps, qubit, bit, float(p1 if bit else p0))
-                outcomes.append(MeasurementRecord(ins.line, qubit, bit))
-        records.append(RunRecord(shot, tuple(outcomes)))
+    for start in range(0, shots, batch):
+        bits = _run_batch(circuit, rng.random((min(batch, shots - start), len(measures))).T)
+        records.extend(
+            RunRecord(shot, tuple(MeasurementRecord(line, qubit, int(bit))
+                                  for (line, qubit), bit in zip(measures, row)))
+            for shot, row in enumerate(bits.T.tolist(), start)
+        )
     return records

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dsl import Circuit, Instruction, _run_batch
 from .statevector import (
     RandomSource,
     StateVector,
@@ -92,6 +93,19 @@ def prepare_pair() -> StateVector:
     return apply_gate(state, cnot(BOB_QUBIT, ALICE_QUBIT))
 
 
+def _protocol_circuit(action: AliceAction) -> Circuit:
+    """One pair's run as a circuit, equal to ``circuits/protocol_send{bit}.qc``."""
+    sender = (Instruction("measure", (ALICE_QUBIT,)),) if action is AliceAction.MEASURE else ()
+    return Circuit(2, (
+        Instruction("h", (BOB_QUBIT,)),
+        Instruction("cnot", (BOB_QUBIT, ALICE_QUBIT)),
+        *sender,
+        Instruction("cnot", (BOB_QUBIT, ALICE_QUBIT)),
+        Instruction("h", (BOB_QUBIT,)),
+        Instruction("measure", (BOB_QUBIT,)),
+    ))
+
+
 def _require_pair(state: StateVector) -> None:
     if state.num_qubits != 2:
         raise ValueError(f"expected a 2-qubit state, got {state.num_qubits} qubits")
@@ -148,17 +162,20 @@ def run_pair(action: AliceAction | int, rng: RandomSource) -> ProtocolTrace:
 
 
 def run_block(
-    action: AliceAction | int, n_pairs: int, rng: RandomSource
+    action: AliceAction | int, n_pairs: int, rng: np.random.Generator
 ) -> BlockResult:
     """Run ``n_pairs`` independent pairs for one message bit.
 
     The decoded bit is the OR of the receiver's outcomes: a single 1
-    proves the sender measured.
+    proves the sender measured. Pairs draw their uniforms in turn, the
+    sender's before the receiver's, as ``run_pair`` would.
     """
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
     action = AliceAction(action)
-    outcomes = tuple(run_pair(action, rng).bob_outcome for _ in range(n_pairs))
+    # One uniform per measurement: the sender's (if she measures), then the receiver's.
+    bits = _run_batch(_protocol_circuit(action), rng.random((n_pairs, 1 + action.bit)).T)
+    outcomes = tuple(bits[-1].astype(int).tolist())
     return BlockResult(n_pairs, outcomes, int(any(outcomes)))
 
 

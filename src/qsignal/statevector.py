@@ -159,9 +159,9 @@ class MeasurementResult:
 # --- strided kernels -------------------------------------------------------
 #
 # Each kernel mutates a writeable array in place. The last axis is the
-# 2**n amplitude axis; any leading axes are independent batch entries,
-# which lets the Monte Carlo engine in `channel` reuse the exact same
-# arithmetic across many trials at once.
+# 2**n amplitude axis; any leading axes are independent batch entries.
+# The circuit executor in `dsl` runs every shot of a circuit through
+# these kernels at once; the public operations below are batch-1 calls.
 
 
 def _apply_hadamard(amps: np.ndarray, qubit: int) -> None:
@@ -207,32 +207,22 @@ def _born_probabilities(amps: np.ndarray, qubit: int) -> tuple[np.ndarray, np.nd
     return p0, p1
 
 
-def _select_outcomes(p0, p1, u) -> np.ndarray:
-    """Outcome bits from uniform draws: 0 iff ``u < p0``.
+def _measure(amps: np.ndarray, qubit: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Measure ``qubit`` on every row of ``amps`` in place, one uniform per row.
 
-    Branches below MIN_BRANCH_PROBABILITY are never selected, whatever
-    the draw says.
+    The outcome is 0 iff ``u < p0``, except that a branch below
+    MIN_BRANCH_PROBABILITY is never selected, whatever the draw says.
+    Returns the outcome bits as a bool array and the Born probability
+    of each drawn outcome; each row is collapsed and renormalized.
     """
-    ones = np.asarray(u >= p0)
-    ones = np.where(np.asarray(p1) < MIN_BRANCH_PROBABILITY, False, ones)
-    ones = np.where(np.asarray(p0) < MIN_BRANCH_PROBABILITY, True, ones)
-    return ones
-
-
-def _select_outcome(p0: float, p1: float, u: float) -> int:
-    # Scalar twin of _select_outcomes; the selection rule must match exactly.
-    if p1 < MIN_BRANCH_PROBABILITY:
-        return 0
-    if p0 < MIN_BRANCH_PROBABILITY:
-        return 1
-    return 0 if u < p0 else 1
-
-
-def _collapse_branch(amps: np.ndarray, qubit: int, outcome: int, probability: float) -> None:
-    # In place: zero the discarded branch, renormalize the kept one.
-    v = amps.reshape(amps.shape[:-1] + (-1, 2, 1 << qubit))
-    v[..., 1 - outcome, :] = 0.0
-    amps *= 1.0 / math.sqrt(probability)
+    p0, p1 = _born_probabilities(amps, qubit)
+    ones = (p0 < MIN_BRANCH_PROBABILITY) | ((u >= p0) & (p1 >= MIN_BRANCH_PROBABILITY))
+    probability = np.where(ones, p1, p0)
+    v = amps.reshape(amps.shape[0], -1, 2, 1 << qubit)
+    v[ones, :, 0, :] = 0.0  # rows that measured 1 lose their 0-branch
+    v[~ones, :, 1, :] = 0.0
+    amps *= (1.0 / np.sqrt(probability))[:, None]
+    return ones, probability
 
 
 # --- public operations -----------------------------------------------------
@@ -291,7 +281,9 @@ def collapse_qubit(state: StateVector, qubit: int, outcome: int) -> StateVector:
             f"branch probability {probability!r} is below {MIN_BRANCH_PROBABILITY}"
         )
     amps = state.amplitudes.copy()
-    _collapse_branch(amps, qubit, outcome, probability)
+    # A draw of 0 selects outcome 0 and one of inf selects outcome 1, since
+    # the requested branch is above MIN_BRANCH_PROBABILITY.
+    _measure(amps[None], qubit, np.array([np.inf if outcome else 0.0]))
     return StateVector._trusted(amps)
 
 
@@ -302,10 +294,10 @@ def measure_qubit(state: StateVector, qubit: int, rng: RandomSource) -> Measurem
     contents, so seeded streams replay identically.
     """
     _check_qubit(state, qubit)
-    p0, p1 = outcome_distribution(state, qubit)
-    outcome = _select_outcome(p0, p1, rng.random())
+    amps = state.amplitudes.copy()
+    ones, probability = _measure(amps[None], qubit, np.array([rng.random()]))
     return MeasurementResult(
-        outcome=outcome,
-        probability=p1 if outcome else p0,
-        post_state=collapse_qubit(state, qubit, outcome),
+        outcome=int(ones[0]),
+        probability=float(probability[0]),
+        post_state=StateVector._trusted(amps),
     )

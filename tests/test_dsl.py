@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -70,12 +71,27 @@ def test_parse_tolerates_extra_spaces_between_tokens():
         ("QUBITS 2", "unknown mnemonic 'QUBITS', line 1"),
         ("qubits 2\nH 0", "unknown mnemonic 'H', line 2"),
         ("qubits 2\nmeasure 0 # trailing", "'measure' takes 1 operand(s), got 3, line 2"),
+        ("qubits 2\nh 1" + "0" * 5000, "integer of 5001 digits is too long, line 2"),
+        ("qubits " + "0" * 5000 + "2", "integer of 5001 digits is too long, line 1"),
     ],
 )
 def test_parse_diagnostics(text, message):
     with pytest.raises(ParseError) as excinfo:
         parse(text)
     assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("limit", [0, 640])
+def test_operand_length_limit_ignores_int_digit_limit(limit):
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        assert parse("qubits 2\nh " + "0" * 639 + "1").instructions == (Instruction("h", (1,)),)
+        with pytest.raises(ParseError) as excinfo:
+            parse("qubits 2\nh " + "0" * 640 + "1")
+    finally:
+        sys.set_int_max_str_digits(default)
+    assert str(excinfo.value) == "integer of 641 digits is too long, line 2"
 
 
 def test_parse_error_carries_line_attribute():

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from qsignal import (
     apply_gate,
     bob_step,
     hadamard,
+    load,
     new_ground_state,
     outcome_distribution,
     prepare_pair,
@@ -21,6 +23,9 @@ from qsignal import (
     run_pair,
     transmit_message,
 )
+from qsignal.protocol import _protocol_circuit
+
+CIRCUITS = Path(__file__).resolve().parent.parent / "circuits"
 
 R = 1.0 / math.sqrt(2.0)
 BELL = [R, 0, 0, R]
@@ -177,6 +182,19 @@ def test_alice_and_bob_outcomes_are_independent():
         rate = joint[a, 1] / branch
         assert abs(rate - 0.5) < 3 * math.sqrt(0.25 / branch)
     assert abs(joint[0].sum() / trials - 0.5) < 3 * math.sqrt(0.25 / trials)
+
+
+@pytest.mark.parametrize("bit", [0, 1])
+def test_protocol_circuit_is_the_shipped_file(bit):
+    assert _protocol_circuit(AliceAction(bit)) == load(CIRCUITS / f"protocol_send{bit}.qc")
+
+
+@pytest.mark.parametrize("bit", [0, 1])
+def test_run_block_replays_run_pair(bit):
+    # the batched block draws its uniforms pair by pair, as run_pair does
+    block = run_block(bit, 50, np.random.default_rng(21))
+    rng = np.random.default_rng(21)
+    assert block.bob_outcomes == tuple(run_pair(bit, rng).bob_outcome for _ in range(50))
 
 
 def test_run_block_bit_zero_decodes_zero():

@@ -19,7 +19,7 @@ from qsignal import (
     not_gate,
     outcome_distribution,
 )
-from qsignal.statevector import MIN_BRANCH_PROBABILITY, _select_outcome, _select_outcomes
+from qsignal.statevector import MIN_BRANCH_PROBABILITY, _measure
 
 R = 1.0 / math.sqrt(2.0)
 
@@ -333,10 +333,29 @@ def test_collapse_qubit_rejects_bad_outcome():
         collapse_qubit(new_ground_state(2), 0, 2)
 
 
-def test_select_outcome_twins_agree():
-    # scalar and vectorized selection must implement the same rule
-    grid = [0.0, 1e-16, MIN_BRANCH_PROBABILITY, 0.3, 0.5, 0.7, 1.0 - 1e-16, 1.0]
-    for p0 in grid:
-        p1 = 1.0 - p0
-        for u in (0.0, 0.2999, 0.3, 0.5, 0.9999):
-            assert _select_outcome(p0, p1, u) == int(_select_outcomes(p0, p1, u))
+def test_batched_measure_matches_measure_qubit():
+    # measure_qubit is a batch-1 call of _measure: one batched call over
+    # many rows must give each row exactly what measure_qubit gives it
+    rng = np.random.default_rng(17)
+    qubit = 1
+    tiny = 0.1 * MIN_BRANCH_PROBABILITY
+    states = [random_state(rng, 2) for _ in range(4)] + [
+        new_ground_state(2),  # p1 = 0 exactly
+        StateVector([math.sqrt(1 - tiny), 0, math.sqrt(tiny), 0]),  # p1 below the floor
+        StateVector([math.sqrt(tiny), 0, math.sqrt(1 - tiny), 0]),  # p0 below the floor
+    ]
+    rows = [
+        (state, float(u))
+        for state in states
+        for p0 in [outcome_distribution(state, qubit)[0]]
+        for u in (0.0, p0, np.nextafter(p0, 0.0), 0.5, 1.0 - 1e-16)
+    ]
+    batch = np.array([state.amplitudes for state, _ in rows])
+    ones, probability = _measure(batch, qubit, np.array([u for _, u in rows]))
+    assert ones.any() and not ones.all()
+    for k, (state, u) in enumerate(rows):
+        result = measure_qubit(state, qubit, FakeRandom(u))
+        assert result.outcome == int(ones[k])
+        assert result.probability >= MIN_BRANCH_PROBABILITY
+        assert result.probability == probability[k]
+        assert np.array_equal(result.post_state.amplitudes, batch[k])
