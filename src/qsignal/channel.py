@@ -1,11 +1,12 @@
 """Analysis of the classical channel the protocol induces.
 
-Exact side: branch enumeration over the sender's measurement outcomes,
-the asymmetric binary (Z) channel model with its mutual information and
-capacity, and a fully unitary ancilla variant of the sender's
-measurement. Statistical side: a chunked Monte Carlo engine that runs
-the protocol circuit through the batched circuit executor, many trials
-at once.
+Both sides run the protocol circuit through the one circuit executor.
+Exact side: the receiver's distribution summed over every measurement
+record of the circuit, for the collapse model and for a fully unitary
+ancilla variant of the sender's measurement, and the asymmetric binary
+(Z) channel model with its mutual information and closed-form capacity.
+Statistical side: a chunked Monte Carlo engine that samples the circuit,
+many trials at once.
 
 Channel orientation: sending 0 is noiseless (the receiver can never
 decode 1), sending 1 is missed when every pair in the block comes up 0,
@@ -20,24 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsl import _run_batch
-from .protocol import (
-    ALICE_QUBIT,
-    BOB_QUBIT,
-    AliceAction,
-    _protocol_circuit,
-    prepare_pair,
-    restore,
-)
-from .statevector import (
-    MIN_BRANCH_PROBABILITY,
-    apply_gate,
-    cnot,
-    collapse_qubit,
-    hadamard,
-    new_ground_state,
-    outcome_distribution,
-)
+from .dsl import Circuit, Instruction, _branches, _run_batch
+from .protocol import AliceAction, _protocol_circuit
 
 ANCILLA_QUBIT = 2
 
@@ -46,6 +31,9 @@ ANCILLA_QUBIT = 2
 # boundaries depend only on the trial count, never on worker count, so
 # aggregate counts are reproducible at any parallelism degree.
 CHUNK_TRIALS = 1 << 16
+# Trials (or blocks) per call are checked before anything is allocated,
+# so the chunk list and the spawned streams (65536 at the cap) stay small.
+MAX_TRIALS = 1 << 32
 
 
 @dataclass(frozen=True)
@@ -133,32 +121,29 @@ class BlockErrorEstimate:
 # --- exact analysis ---------------------------------------------------------
 
 
+def _receiver_distribution(circuit: Circuit) -> OutcomeDistribution:
+    """Exact distribution of the circuit's last measurement, the receiver's."""
+    records, weights = _branches(circuit)
+    bob = records[-1]
+    return OutcomeDistribution(float(weights[~bob].sum()), float(weights[bob].sum()))
+
+
+def _ancilla_circuit(action: AliceAction) -> Circuit:
+    """The protocol circuit on 3 qubits, the sender's measure made a CNOT onto the ancilla."""
+    *steps, receiver = _protocol_circuit(action).instructions
+    return Circuit(3, tuple(
+        Instruction("cnot", (*ins.args, ANCILLA_QUBIT)) if ins.op == "measure" else ins
+        for ins in steps) + (receiver,))
+
+
 def exact_distribution(action: AliceAction | int) -> OutcomeDistribution:
     """Receiver outcome distribution by exact branch enumeration.
 
-    Enumerates the sender's measurement branches with their Born
-    weights, pushes each branch through the restoring step, and sums the
-    receiver's Born probabilities. No sampling is involved, so the
-    impossible branch comes out exactly zero.
+    Enumerates every measurement record of the protocol circuit with its
+    Born weight and sums the weights by the receiver's bit. No sampling
+    is involved, so the impossible branch comes out exactly zero.
     """
-    action = AliceAction(action)
-    psi_a = prepare_pair()
-    if action is AliceAction.SKIP:
-        branches = [(1.0, psi_a)]
-    else:
-        p0, p1 = outcome_distribution(psi_a, ALICE_QUBIT)
-        branches = [
-            (weight, collapse_qubit(psi_a, ALICE_QUBIT, outcome))
-            for outcome, weight in ((0, p0), (1, p1))
-            if weight >= MIN_BRANCH_PROBABILITY
-        ]
-    p_bob_0 = 0.0
-    p_bob_1 = 0.0
-    for weight, branch in branches:
-        b0, b1 = outcome_distribution(restore(branch), BOB_QUBIT)
-        p_bob_0 += weight * b0
-        p_bob_1 += weight * b1
-    return OutcomeDistribution(p_bob_0, p_bob_1)
+    return _receiver_distribution(_protocol_circuit(AliceAction(action)))
 
 
 def block_error_probability(n_pairs: int) -> float:
@@ -178,16 +163,7 @@ def ancilla_model_distribution(action: AliceAction | int) -> OutcomeDistribution
     exact_distribution for both actions: the receiver cannot tell the
     two measurement models apart.
     """
-    action = AliceAction(action)
-    state = new_ground_state(3)
-    state = apply_gate(state, hadamard(BOB_QUBIT))
-    state = apply_gate(state, cnot(BOB_QUBIT, ALICE_QUBIT))
-    if action is AliceAction.MEASURE:
-        state = apply_gate(state, cnot(ALICE_QUBIT, ANCILLA_QUBIT))
-    state = apply_gate(state, cnot(BOB_QUBIT, ALICE_QUBIT))
-    state = apply_gate(state, hadamard(BOB_QUBIT))
-    p0, p1 = outcome_distribution(state, BOB_QUBIT)
-    return OutcomeDistribution(p0, p1)
+    return _receiver_distribution(_ancilla_circuit(AliceAction(action)))
 
 
 # --- information measures ---------------------------------------------------
@@ -215,16 +191,14 @@ def mutual_information(channel: ZChannel, prior_p1: float) -> float:
     return z_channel_mutual_information(channel.p_missed_one, prior_p1)
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 def z_channel_capacity(p_missed_one: float) -> tuple[float, float]:
     """(capacity in bits, maximizing prior P(X=1)) for a Z channel.
 
-    Golden-section search over the prior; the objective is strictly
-    concave for miss probabilities in (0, 1). The degenerate endpoints
-    are handled directly: a perfect channel peaks at prior 1/2, a dead
-    one carries nothing.
+    Closed form (Tallini, Al-Bassam & Bose, ISIT 2002): the mutual
+    information is strictly concave in the prior for miss probabilities
+    q in (0, 1) and peaks at 1 / ((1-q)(1 + 2**(H2(q)/(1-q)))). The
+    degenerate endpoints are handled directly: a perfect channel peaks
+    at prior 1/2, a dead one carries nothing.
     """
     if not 0.0 <= p_missed_one <= 1.0:
         raise ValueError(f"p_missed_one must lie in [0, 1], got {p_missed_one!r}")
@@ -232,22 +206,9 @@ def z_channel_capacity(p_missed_one: float) -> tuple[float, float]:
         return 1.0, 0.5
     if p_missed_one == 1.0:
         return 0.0, 0.0
-    lo, hi = 0.0, 1.0
-    a = hi - _GOLDEN * (hi - lo)
-    b = lo + _GOLDEN * (hi - lo)
-    f_a = z_channel_mutual_information(p_missed_one, a)
-    f_b = z_channel_mutual_information(p_missed_one, b)
-    while hi - lo > 1e-9:
-        if f_a < f_b:
-            lo, a, f_a = a, b, f_b
-            b = lo + _GOLDEN * (hi - lo)
-            f_b = z_channel_mutual_information(p_missed_one, b)
-        else:
-            hi, b, f_b = b, a, f_a
-            a = hi - _GOLDEN * (hi - lo)
-            f_a = z_channel_mutual_information(p_missed_one, a)
-    prior = (lo + hi) / 2.0
-    return z_channel_mutual_information(p_missed_one, prior), prior
+    q = p_missed_one
+    prior = 1.0 / ((1.0 - q) * (1.0 + 2.0 ** (binary_entropy(q) / (1.0 - q))))
+    return z_channel_mutual_information(q, prior), prior
 
 
 def channel_capacity(channel: ZChannel) -> tuple[float, float]:
@@ -276,6 +237,8 @@ def _chunk_sizes(trials: int) -> list[int]:
 
 def _map_chunks(fn, trials: int, rng: np.random.Generator, workers: int) -> list:
     """Apply ``fn(size, stream)`` over fixed-size chunks with derived streams."""
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must be between 1 and {MAX_TRIALS}, got {trials}")
     sizes = _chunk_sizes(trials)
     streams = rng.spawn(len(sizes))
     if workers <= 1:
@@ -297,8 +260,6 @@ def monte_carlo_distribution(
     any ``workers`` setting.
     """
     action = AliceAction(action)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
 
     def chunk_ones(size: int, stream: np.random.Generator) -> int:
         return int(np.count_nonzero(_simulate(action, size, stream)[-1]))
@@ -330,8 +291,6 @@ def monte_carlo_block_error(
     action = AliceAction(action)
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
-    if blocks < 1:
-        raise ValueError(f"blocks must be >= 1, got {blocks}")
 
     def chunk_decoded_ones(size: int, stream: np.random.Generator) -> int:
         any_one = np.zeros(size, dtype=bool)
@@ -347,15 +306,9 @@ def monte_carlo_block_error(
 
 def _joint_counts(trials: int, rng: np.random.Generator, workers: int = 1) -> np.ndarray:
     """2x2 table of (sender outcome, receiver outcome) counts for MEASURE trials."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
 
     def chunk_table(size: int, stream: np.random.Generator) -> np.ndarray:
         alice, bob = _simulate(AliceAction.MEASURE, size, stream)
-        table = np.zeros((2, 2), dtype=np.int64)
-        for a in (0, 1):
-            for b in (0, 1):
-                table[a, b] = np.count_nonzero((alice == bool(a)) & (bob == bool(b)))
-        return table
+        return np.bincount(2 * alice + bob, minlength=4).reshape(2, 2)
 
     return sum(_map_chunks(chunk_table, trials, rng, workers))

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .statevector import MAX_QUBITS, _apply_cnot, _apply_hadamard, _apply_not, _measure
+from .statevector import _KERNELS, MAX_QUBITS, _measure
 
 
 class ParseError(ValueError):
@@ -142,27 +142,47 @@ def load(path) -> Circuit:
         return parse(fh.read())
 
 
+def _evolve(circuit: Circuit, batch: int):
+    """Run ``batch`` copies of ``circuit`` from the ground state, gates in place.
+
+    Yields ``(amps, qubit)`` at each ``measure``; the caller collapses
+    ``amps`` in place before the program goes on.
+    """
+    amps = np.zeros((batch, 1 << circuit.num_qubits), dtype=np.complex128)
+    amps[:, 0] = 1.0
+    for ins in circuit.instructions:
+        if ins.op == "measure":
+            yield amps, ins.args[0]
+        else:
+            _KERNELS[ins.op](amps, *ins.args)
+
+
 def _run_batch(circuit: Circuit, uniforms: np.ndarray) -> np.ndarray:
     """Run ``uniforms.shape[1]`` shots of ``circuit``, each from the ground state.
 
     Row k of ``uniforms`` holds the draws for the k-th ``measure``, one
     per shot. Returns the outcome bits as a bool array of the same shape.
     """
-    amps = np.zeros((uniforms.shape[1], 1 << circuit.num_qubits), dtype=np.complex128)
-    amps[:, 0] = 1.0
     bits = np.empty(uniforms.shape, dtype=bool)
-    k = 0
-    for ins in circuit.instructions:
-        if ins.op == "h":
-            _apply_hadamard(amps, ins.args[0])
-        elif ins.op == "x":
-            _apply_not(amps, ins.args[0])
-        elif ins.op == "cnot":
-            _apply_cnot(amps, ins.args[0], ins.args[1], circuit.num_qubits)
-        else:
-            bits[k] = _measure(amps, ins.args[0], uniforms[k])[0]
-            k += 1
+    for k, (amps, qubit) in enumerate(_evolve(circuit, uniforms.shape[1])):
+        bits[k] = _measure(amps, qubit, uniforms[k])[0]
     return bits
+
+
+def _branches(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
+    """All ``2**m`` records of the ``m`` measurements, as ``_run_batch``
+    lays out bits (one column each, in lexicographic order), and the
+    exact probability of each. Every record runs in one batch with its
+    outcomes forced by draws of 0 or inf; one that needs a branch below
+    MIN_BRANCH_PROBABILITY gets weight 0.
+    """
+    m = sum(ins.op == "measure" for ins in circuit.instructions)
+    records = ((np.arange(1 << m) >> np.arange(m - 1, -1, -1)[:, None]) & 1).astype(bool)
+    weights = np.ones(1 << m)
+    for k, (amps, qubit) in enumerate(_evolve(circuit, 1 << m)):
+        ones, probability = _measure(amps, qubit, np.where(records[k], np.inf, 0.0))
+        weights *= np.where(ones == records[k], probability, 0.0)
+    return records, weights
 
 
 def execute(circuit: Circuit, shots: int, rng: np.random.Generator) -> list[RunRecord]:

@@ -9,8 +9,9 @@ turns measurement-or-not into a one-way classical bit.
 Qubit layout: qubit 0 is Alice's, qubit 1 is Bob's. In ket notation
 |b1 b0> Bob's bit is written first, e.g. the prepared pair is
 (|00> + |11>)/sqrt(2) with amplitudes on basis indices 0 and 3. The two
-qubits are conceptually held by distant parties; separation has no
-computational content here.
+qubits are conceptually held by distant parties. The receiver's local
+state after the sender's step is I/2 whatever she does, so the bit
+becomes readable only through the two-qubit ``restore`` gate.
 """
 
 from __future__ import annotations

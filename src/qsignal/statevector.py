@@ -160,8 +160,8 @@ class MeasurementResult:
 #
 # Each kernel mutates a writeable array in place. The last axis is the
 # 2**n amplitude axis; any leading axes are independent batch entries.
-# The circuit executor in `dsl` runs every shot of a circuit through
-# these kernels at once; the public operations below are batch-1 calls.
+# The executor in `dsl` runs every shot at once through the `_KERNELS`
+# dispatch, as `apply_gate` does; the public operations are batch-1 calls.
 
 
 def _apply_hadamard(amps: np.ndarray, qubit: int) -> None:
@@ -179,7 +179,8 @@ def _apply_not(amps: np.ndarray, qubit: int) -> None:
     v[..., 1, :] = lo
 
 
-def _apply_cnot(amps: np.ndarray, control: int, target: int, num_qubits: int) -> None:
+def _apply_cnot(amps: np.ndarray, control: int, target: int) -> None:
+    num_qubits = amps.shape[-1].bit_length() - 1
     batch_ndim = amps.ndim - 1
     v = amps.reshape(amps.shape[:-1] + (2,) * num_qubits)
     control_axis = batch_ndim + num_qubits - 1 - control
@@ -196,6 +197,10 @@ def _apply_cnot(amps: np.ndarray, control: int, target: int, num_qubits: int) ->
     tmp = sub[tuple(i0)].copy()
     sub[tuple(i0)] = sub[tuple(i1)]
     sub[tuple(i1)] = tmp
+
+
+# Kernels by DSL mnemonic, which is also each GateKind's value.
+_KERNELS = {"h": _apply_hadamard, "x": _apply_not, "cnot": _apply_cnot}
 
 
 def _born_probabilities(amps: np.ndarray, qubit: int) -> tuple[np.ndarray, np.ndarray]:
@@ -249,12 +254,7 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
     for q in gate.qubits:
         _check_qubit(state, q)
     amps = state.amplitudes.copy()
-    if gate.kind is GateKind.HADAMARD:
-        _apply_hadamard(amps, gate.qubits[0])
-    elif gate.kind is GateKind.NOT:
-        _apply_not(amps, gate.qubits[0])
-    else:
-        _apply_cnot(amps, gate.qubits[0], gate.qubits[1], state.num_qubits)
+    _KERNELS[gate.kind.value](amps, *gate.qubits)
     return StateVector._trusted(amps)
 
 

@@ -23,7 +23,7 @@ from qsignal import (
     z_channel_capacity,
     z_channel_mutual_information,
 )
-from qsignal.channel import _joint_counts, binary_entropy
+from qsignal.channel import MAX_TRIALS, _joint_counts, binary_entropy
 
 
 # --- exact distribution -------------------------------------------------------
@@ -122,6 +122,19 @@ def test_monte_carlo_is_worker_independent():
 def test_monte_carlo_rejects_zero_trials():
     with pytest.raises(ValueError):
         monte_carlo_distribution(1, 0, np.random.default_rng(0))
+
+
+def test_monte_carlo_rejects_trials_above_the_cap():
+    rng = np.random.default_rng(0)
+    for run in (
+        lambda: monte_carlo_distribution(1, MAX_TRIALS + 1, rng),
+        lambda: monte_carlo_block_error(1, 1, MAX_TRIALS + 1, rng, workers=2),
+        lambda: _joint_counts(MAX_TRIALS + 1, rng),
+    ):
+        with pytest.raises(ValueError, match="trials must be between 1 and"):
+            run()
+    # rejected before a single child stream was spawned
+    assert rng.spawn(1)[0].random() == np.random.default_rng(0).spawn(1)[0].random()
 
 
 def test_block_error_monte_carlo_consistency():

@@ -89,6 +89,13 @@ def test_block_rejects_zero_pairs(capsys):
     assert excinfo.value.code != 0
 
 
+def test_block_rejects_unbounded_trials(capsys):
+    code, out, err = run_cli(capsys, "block", "--n", "1", "--bit", "1",
+                             "--trials", "100000000000000", "--seed", "0")
+    assert code == 1 and out == ""
+    assert err.startswith("error: trials must be between 1 and")
+
+
 def test_channel_mutual_information(capsys):
     code, out, _ = run_cli(capsys, "channel", "--n", "1", "--prior", "0.5")
     assert code == 0

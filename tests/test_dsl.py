@@ -1,5 +1,7 @@
 import math
 import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,8 +23,11 @@ from qsignal import (
     parse,
     render,
 )
+from qsignal.dsl import _branches
 
 BELL_TEXT = "qubits 2\nh 1\ncnot 1 0"
+CIRCUITS = Path(__file__).resolve().parent.parent / "circuits"
+SHIPPED = sorted(CIRCUITS.glob("*.qc"))
 
 
 # --- parsing ------------------------------------------------------------------
@@ -223,6 +228,47 @@ def test_execute_full_protocol_statistics():
     send0 = parse("qubits 2\nh 1\ncnot 1 0\ncnot 1 0\nh 1\nmeasure 1")
     records = execute(send0, shots, np.random.default_rng(9))
     assert sum(record.measurement_outcomes[-1].bit for record in records) == 0
+
+
+# --- exact branch enumeration ------------------------------------------------------
+
+
+def branch_table(circuit):
+    """Exact weight of each measurement record, keyed by its bit string."""
+    records, weights = _branches(circuit)
+    return {"".join(str(int(b)) for b in column): float(w)
+            for column, w in zip(records.T, weights)}
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+def test_branch_weights_sum_to_one(path):
+    circuit = load(path)
+    table = branch_table(circuit)
+    measures = sum(ins.op == "measure" for ins in circuit.instructions)
+    assert sorted(table) == [format(r, f"0{measures}b") for r in range(1 << measures)]
+    assert abs(sum(table.values()) - 1.0) < 1e-12
+
+
+def test_bell_branches_are_perfectly_correlated():
+    table = branch_table(load(CIRCUITS / "bell.qc"))
+    assert abs(table["00"] - 0.5) < 1e-12
+    assert abs(table["11"] - 0.5) < 1e-12
+    assert table["01"] == table["10"] == 0.0
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.stem)
+def test_execute_histogram_matches_branch_weights(path):
+    # differential: sampled frequencies against the exact enumeration, at 5 sigma
+    circuit = load(path)
+    shots = 20_000
+    observed = Counter(
+        "".join(str(m.bit) for m in record.measurement_outcomes)
+        for record in execute(circuit, shots, np.random.default_rng(12))
+    )
+    table = branch_table(circuit)
+    assert set(observed) <= set(table)
+    for record, p in table.items():
+        assert abs(observed[record] / shots - p) <= 5 * math.sqrt(p * (1.0 - p) / shots)
 
 
 def test_execute_rejects_bad_shot_counts():

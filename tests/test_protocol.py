@@ -10,9 +10,11 @@ from qsignal import (
     BOB_QUBIT,
     AliceAction,
     StateVector,
+    Circuit,
     alice_step,
     apply_gate,
     bob_step,
+    collapse_qubit,
     hadamard,
     load,
     new_ground_state,
@@ -23,6 +25,7 @@ from qsignal import (
     run_pair,
     transmit_message,
 )
+from qsignal.channel import _ancilla_circuit
 from qsignal.protocol import _protocol_circuit
 
 CIRCUITS = Path(__file__).resolve().parent.parent / "circuits"
@@ -186,7 +189,42 @@ def test_alice_and_bob_outcomes_are_independent():
 
 @pytest.mark.parametrize("bit", [0, 1])
 def test_protocol_circuit_is_the_shipped_file(bit):
-    assert _protocol_circuit(AliceAction(bit)) == load(CIRCUITS / f"protocol_send{bit}.qc")
+    shipped = load(CIRCUITS / f"protocol_send{bit}.qc")
+    assert _protocol_circuit(AliceAction(bit)) == shipped
+    # the ancilla model widens the same circuit to three qubits and turns
+    # the sender's measure into a CNOT onto the ancilla
+    ancilla = load(CIRCUITS / "protocol_ancilla.qc") if bit else Circuit(3, shipped.instructions)
+    assert _ancilla_circuit(AliceAction(bit)) == ancilla
+
+
+def receiver_density_matrix(state):
+    """Bob's reduced density matrix: the sender's qubit 0 traced out."""
+    psi = state.amplitudes.reshape(2, 2)  # psi[bob, alice], since index = 2*bob + alice
+    return psi @ psi.conj().T
+
+
+def sender_branches(action):
+    """(Born weight, post-step state) for each outcome of the sender's alice_step."""
+    psi_a = prepare_pair()
+    if action is AliceAction.SKIP:
+        return [(1.0, alice_step(psi_a, action, FakeRandom(0.5))[0])]
+    return [(p, collapse_qubit(psi_a, ALICE_QUBIT, outcome))
+            for outcome, p in enumerate(outcome_distribution(psi_a, ALICE_QUBIT))]
+
+
+def trace_distance(rho, sigma):
+    return 0.5 * float(np.abs(np.linalg.eigvalsh(rho - sigma)).sum())
+
+
+@pytest.mark.parametrize("action", list(AliceAction))
+def test_receiver_state_is_maximally_mixed_whatever_the_sender_does(action):
+    # no-communication: before restore, Bob holds I/2 for both actions
+    branches = sender_branches(action)
+    rho = sum(p * receiver_density_matrix(state) for p, state in branches)
+    assert trace_distance(rho, np.eye(2) / 2) < 1e-12
+    # only the two-qubit restore gate makes the actions distinguishable to him
+    rho = sum(p * receiver_density_matrix(restore(state)) for p, state in branches)
+    assert trace_distance(rho, np.eye(2) / 2 if action else np.diag([1.0, 0.0])) < 1e-12
 
 
 @pytest.mark.parametrize("bit", [0, 1])
