@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dsl import Circuit, Instruction, _branches, _run_batch
-from .protocol import AliceAction, _protocol_circuit
+from .protocol import AliceAction, _check_pairs, _protocol_circuit
 
 ANCILLA_QUBIT = 2
 
@@ -31,8 +31,8 @@ ANCILLA_QUBIT = 2
 # boundaries depend only on the trial count, never on worker count, so
 # aggregate counts are reproducible at any parallelism degree.
 CHUNK_TRIALS = 1 << 16
-# Trials (or blocks) per call are checked before anything is allocated,
-# so the chunk list and the spawned streams (65536 at the cap) stay small.
+# Pair runs per call (trials, or blocks times pairs) are checked before
+# anything is allocated, so the chunk list and the spawned streams stay small.
 MAX_TRIALS = 1 << 32
 
 
@@ -235,10 +235,11 @@ def _chunk_sizes(trials: int) -> list[int]:
     return sizes
 
 
-def _map_chunks(fn, trials: int, rng: np.random.Generator, workers: int) -> list:
-    """Apply ``fn(size, stream)`` over fixed-size chunks with derived streams."""
-    if not 1 <= trials <= MAX_TRIALS:
-        raise ValueError(f"trials must be between 1 and {MAX_TRIALS}, got {trials}")
+def _map_chunks(fn, trials: int, rng: np.random.Generator, workers: int, pairs: int = 1) -> list:
+    """Apply ``fn(size, stream)`` over fixed-size chunks of ``pairs``-pair trials."""
+    limit = MAX_TRIALS // pairs
+    if not 1 <= trials <= limit:
+        raise ValueError(f"trials must be between 1 and {limit}, got {trials}")
     sizes = _chunk_sizes(trials)
     streams = rng.spawn(len(sizes))
     if workers <= 1:
@@ -289,8 +290,7 @@ def monte_carlo_block_error(
     decodes their OR, mirroring ``protocol.run_block``.
     """
     action = AliceAction(action)
-    if n_pairs < 1:
-        raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
+    _check_pairs(n_pairs)
 
     def chunk_decoded_ones(size: int, stream: np.random.Generator) -> int:
         any_one = np.zeros(size, dtype=bool)
@@ -298,7 +298,7 @@ def monte_carlo_block_error(
             any_one |= _simulate(action, size, stream)[-1]
         return int(np.count_nonzero(any_one))
 
-    count = sum(_map_chunks(chunk_decoded_ones, blocks, rng, workers))
+    count = sum(_map_chunks(chunk_decoded_ones, blocks, rng, workers, n_pairs))
     return BlockErrorEstimate(
         bit=action.bit, n_pairs=n_pairs, blocks=blocks, count_decoded_one=count
     )

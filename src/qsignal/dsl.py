@@ -75,7 +75,7 @@ _INT_RE = re.compile(r"[0-9]+\Z")
 # Longer operands are rejected before int(), whose digit limit
 # (sys.set_int_max_str_digits) is never set below 640.
 _MAX_DIGITS = 640
-# `execute` holds at most this many amplitudes (4 MiB) per batch of shots,
+# `execute` holds at most this many amplitudes (2 MiB) per batch of shots,
 # so circuits of 18 or more qubits still run one shot at a time.
 _BATCH_AMPLITUDES = 1 << 18
 
@@ -145,11 +145,12 @@ def load(path) -> Circuit:
 def _evolve(circuit: Circuit, batch: int):
     """Run ``batch`` copies of ``circuit`` from the ground state, gates in place.
 
-    Yields ``(amps, qubit)`` at each ``measure``; the caller collapses
-    ``amps`` in place before the program goes on.
+    The amplitudes are one real float64 ``(2**n, batch)`` array, since every
+    gate is real. Yields ``(amps, qubit)`` at each ``measure``; the caller
+    collapses ``amps`` in place before the program goes on.
     """
-    amps = np.zeros((batch, 1 << circuit.num_qubits), dtype=np.complex128)
-    amps[:, 0] = 1.0
+    amps = np.zeros((1 << circuit.num_qubits, batch))
+    amps[0] = 1.0
     for ins in circuit.instructions:
         if ins.op == "measure":
             yield amps, ins.args[0]

@@ -34,6 +34,8 @@ from .statevector import (
 
 ALICE_QUBIT = 0
 BOB_QUBIT = 1
+# Pairs per block, checked before a block draws its (n_pairs, m) uniforms.
+MAX_PAIRS = 1 << 16
 
 
 class AliceAction(enum.IntEnum):
@@ -107,6 +109,11 @@ def _protocol_circuit(action: AliceAction) -> Circuit:
     ))
 
 
+def _check_pairs(n_pairs: int) -> None:
+    if not 1 <= n_pairs <= MAX_PAIRS:
+        raise ValueError(f"n_pairs must be between 1 and {MAX_PAIRS}, got {n_pairs}")
+
+
 def _require_pair(state: StateVector) -> None:
     if state.num_qubits != 2:
         raise ValueError(f"expected a 2-qubit state, got {state.num_qubits} qubits")
@@ -171,8 +178,7 @@ def run_block(
     proves the sender measured. Pairs draw their uniforms in turn, the
     sender's before the receiver's, as ``run_pair`` would.
     """
-    if n_pairs < 1:
-        raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
+    _check_pairs(n_pairs)
     action = AliceAction(action)
     # One uniform per measurement: the sender's (if she measures), then the receiver's.
     bits = _run_batch(_protocol_circuit(action), rng.random((n_pairs, 1 + action.bit)).T)
@@ -194,6 +200,7 @@ def transmit_message(
         raise ValueError("message must contain at least one bit")
     if any(b not in (0, 1) for b in bits):
         raise ValueError(f"message bits must be 0 or 1, got {bits}")
+    _check_pairs(n_pairs)
     streams = rng.spawn(len(bits))
     return [
         run_block(AliceAction(bit), n_pairs, stream).decoded_bit

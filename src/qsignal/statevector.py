@@ -1,10 +1,11 @@
 """Dense statevector simulation of few-qubit pure states.
 
-Amplitudes are complex128 over the computational basis. Basis state
-|b_{n-1} ... b_1 b_0> maps to the integer sum(b_k * 2**k), so qubit 0 is
-the least-significant bit of the basis index. Gates are applied by strided
-index-pair updates on the amplitude array; the full 2^n x 2^n unitary is
-never materialized.
+Basis state |b_{n-1} ... b_1 b_0> maps to the integer sum(b_k * 2**k), so
+qubit 0 is the least-significant bit of the basis index. Gates are applied
+by strided index-pair updates on the amplitude array; the full 2^n x 2^n
+unitary is never materialized. A `StateVector` holds complex128 amplitudes;
+the circuit executor in `dsl` runs the same kernels on real float64
+amplitudes, since every gate here (H, X, CNOT) is real.
 
 All public operations use value semantics: they return new states and
 leave their inputs untouched.
@@ -158,45 +159,37 @@ class MeasurementResult:
 
 # --- strided kernels -------------------------------------------------------
 #
-# Each kernel mutates a writeable array in place. The last axis is the
-# 2**n amplitude axis; any leading axes are independent batch entries.
-# The executor in `dsl` runs every shot at once through the `_KERNELS`
-# dispatch, as `apply_gate` does; the public operations are batch-1 calls.
+# Each kernel mutates a writeable array in place. The first axis is the
+# 2**n amplitude axis and any trailing axes are independent batch entries,
+# so one kernel set serves the executor in `dsl`, which runs every shot at
+# once as a float64 (2**n, batch) array, and the complex128 buffers of the
+# public operations, which are batch-1 calls.
 
 
 def _apply_hadamard(amps: np.ndarray, qubit: int) -> None:
-    v = amps.reshape(amps.shape[:-1] + (-1, 2, 1 << qubit))
-    lo = v[..., 0, :].copy()
-    hi = v[..., 1, :]
-    v[..., 0, :] = (lo + hi) * _INV_SQRT2
-    v[..., 1, :] = (lo - hi) * _INV_SQRT2
+    v = amps.reshape((-1, 2, 1 << qubit) + amps.shape[1:])
+    lo, hi = v[:, 0], v[:, 1]
+    diff = lo - hi  # the one temporary; the rest runs in place
+    lo += hi
+    lo *= _INV_SQRT2
+    np.multiply(diff, _INV_SQRT2, out=hi)
 
 
 def _apply_not(amps: np.ndarray, qubit: int) -> None:
-    v = amps.reshape(amps.shape[:-1] + (-1, 2, 1 << qubit))
-    lo = v[..., 0, :].copy()
-    v[..., 0, :] = v[..., 1, :]
-    v[..., 1, :] = lo
+    v = amps.reshape((-1, 2, 1 << qubit) + amps.shape[1:])
+    lo = v[:, 0].copy()
+    v[:, 0] = v[:, 1]
+    v[:, 1] = lo
 
 
 def _apply_cnot(amps: np.ndarray, control: int, target: int) -> None:
-    num_qubits = amps.shape[-1].bit_length() - 1
-    batch_ndim = amps.ndim - 1
-    v = amps.reshape(amps.shape[:-1] + (2,) * num_qubits)
-    control_axis = batch_ndim + num_qubits - 1 - control
-    target_axis = batch_ndim + num_qubits - 1 - target
-    sel: list = [slice(None)] * v.ndim
-    sel[control_axis] = 1
-    sub = v[tuple(sel)]  # view of the control=1 subspace
-    if target_axis > control_axis:
-        target_axis -= 1
-    i0: list = [slice(None)] * sub.ndim
-    i1: list = [slice(None)] * sub.ndim
-    i0[target_axis] = 0
-    i1[target_axis] = 1
-    tmp = sub[tuple(i0)].copy()
-    sub[tuple(i0)] = sub[tuple(i1)]
-    sub[tuple(i1)] = tmp
+    lo, hi = sorted((control, target))
+    # axis 1 holds the bit of qubit ``hi`` and axis 3 that of qubit ``lo``
+    v = amps.reshape((-1, 2, 1 << (hi - lo - 1), 2, 1 << lo) + amps.shape[1:])
+    t0, t1 = (v[:, 1, :, 0], v[:, 1, :, 1]) if control == hi else (v[:, 0, :, 1], v[:, 1, :, 1])
+    tmp = t0.copy()
+    t0[...] = t1
+    t1[...] = tmp
 
 
 # Kernels by DSL mnemonic, which is also each GateKind's value.
@@ -205,28 +198,27 @@ _KERNELS = {"h": _apply_hadamard, "x": _apply_not, "cnot": _apply_cnot}
 
 def _born_probabilities(amps: np.ndarray, qubit: int) -> tuple[np.ndarray, np.ndarray]:
     """Squared-magnitude mass on each branch of ``qubit``, per batch entry."""
-    v = amps.reshape(amps.shape[:-1] + (-1, 2, 1 << qubit))
-    mag = v.real**2 + v.imag**2
-    p0 = mag[..., 0, :].sum(axis=(-2, -1))
-    p1 = mag[..., 1, :].sum(axis=(-2, -1))
-    return p0, p1
+    v = amps.reshape((-1, 2, 1 << qubit) + amps.shape[1:])
+    mag = v.real**2 + v.imag**2 if np.iscomplexobj(v) else v**2
+    return mag[:, 0].sum(axis=(0, 1)), mag[:, 1].sum(axis=(0, 1))
 
 
 def _measure(amps: np.ndarray, qubit: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Measure ``qubit`` on every row of ``amps`` in place, one uniform per row.
+    """Measure ``qubit`` on every column of ``amps`` in place, one uniform each.
 
     The outcome is 0 iff ``u < p0``, except that a branch below
     MIN_BRANCH_PROBABILITY is never selected, whatever the draw says.
     Returns the outcome bits as a bool array and the Born probability
-    of each drawn outcome; each row is collapsed and renormalized.
+    of each drawn outcome; each column is collapsed and renormalized.
     """
     p0, p1 = _born_probabilities(amps, qubit)
     ones = (p0 < MIN_BRANCH_PROBABILITY) | ((u >= p0) & (p1 >= MIN_BRANCH_PROBABILITY))
     probability = np.where(ones, p1, p0)
-    v = amps.reshape(amps.shape[0], -1, 2, 1 << qubit)
-    v[ones, :, 0, :] = 0.0  # rows that measured 1 lose their 0-branch
-    v[~ones, :, 1, :] = 0.0
-    amps *= (1.0 / np.sqrt(probability))[:, None]
+    scale = 1.0 / np.sqrt(probability)
+    v = amps.reshape((-1, 2, 1 << qubit) + amps.shape[1:])
+    v[:, 0] *= scale * ~ones  # columns that measured 1 lose their 0-branch
+    v[:, 1] *= scale * ones
+    amps += 0.0  # x * 0.0 is -0.0 for x < 0; every zero comes out +0.0
     return ones, probability
 
 
@@ -283,7 +275,7 @@ def collapse_qubit(state: StateVector, qubit: int, outcome: int) -> StateVector:
     amps = state.amplitudes.copy()
     # A draw of 0 selects outcome 0 and one of inf selects outcome 1, since
     # the requested branch is above MIN_BRANCH_PROBABILITY.
-    _measure(amps[None], qubit, np.array([np.inf if outcome else 0.0]))
+    _measure(amps[:, None], qubit, np.array([np.inf if outcome else 0.0]))
     return StateVector._trusted(amps)
 
 
@@ -295,7 +287,7 @@ def measure_qubit(state: StateVector, qubit: int, rng: RandomSource) -> Measurem
     """
     _check_qubit(state, qubit)
     amps = state.amplitudes.copy()
-    ones, probability = _measure(amps[None], qubit, np.array([rng.random()]))
+    ones, probability = _measure(amps[:, None], qubit, np.array([rng.random()]))
     return MeasurementResult(
         outcome=int(ones[0]),
         probability=float(probability[0]),

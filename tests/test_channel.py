@@ -24,6 +24,7 @@ from qsignal import (
     z_channel_mutual_information,
 )
 from qsignal.channel import MAX_TRIALS, _joint_counts, binary_entropy
+from qsignal.protocol import MAX_PAIRS
 
 
 # --- exact distribution -------------------------------------------------------
@@ -134,6 +135,17 @@ def test_monte_carlo_rejects_trials_above_the_cap():
         with pytest.raises(ValueError, match="trials must be between 1 and"):
             run()
     # rejected before a single child stream was spawned
+    assert rng.spawn(1)[0].random() == np.random.default_rng(0).spawn(1)[0].random()
+
+
+def test_monte_carlo_block_error_bounds_pairs_before_any_stream():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=f"n_pairs must be between 1 and {MAX_PAIRS}, got"):
+        monte_carlo_block_error(1, MAX_PAIRS + 1, 1, rng)
+    # every pair of every block counts against the trials cap
+    cap = MAX_TRIALS // MAX_PAIRS
+    with pytest.raises(ValueError, match=f"trials must be between 1 and {cap}, got"):
+        monte_carlo_block_error(1, MAX_PAIRS, cap + 1, rng, workers=2)
     assert rng.spawn(1)[0].random() == np.random.default_rng(0).spawn(1)[0].random()
 
 

@@ -96,6 +96,20 @@ def test_block_rejects_unbounded_trials(capsys):
     assert err.startswith("error: trials must be between 1 and")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["block", "--n", "100000000", "--bit", "1", "--trials", "1"],
+     "n_pairs must be between 1 and 65536"),
+    (["block", "--n", "65536", "--bit", "1", "--trials", "65537"],
+     "trials must be between 1 and 65536"),
+    (["transmit", "--message", "10", "--n", "1000000000"],
+     "n_pairs must be between 1 and 65536"),
+])
+def test_simulations_reject_unbounded_pairs(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv, "--seed", "0")
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {message}, got")
+
+
 def test_channel_mutual_information(capsys):
     code, out, _ = run_cli(capsys, "channel", "--n", "1", "--prior", "0.5")
     assert code == 0

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from qsignal import (
     Circuit,
+    GateKind,
+    GateOp,
     Instruction,
     ParseError,
     apply_gate,
@@ -209,6 +211,28 @@ def test_execute_matches_statevector_operations():
         state = apply_gate(state, hadamard(1))
         second = measure_qubit(state, 1, rng)
         assert [m.bit for m in record.measurement_outcomes] == [first.outcome, second.outcome]
+
+
+@given(circuits(), st.integers(0, 2**32 - 1), st.integers(1, 40))
+@settings(max_examples=300, deadline=None)
+def test_execute_replays_the_complex_statevector_path(circuit, seed, shots):
+    # differential: the float64 batched executor against shot-by-shot
+    # complex128 StateVector operations fed the same stream, bit for bit.
+    # From 4 qubits on, the two layouts may sum a Born probability in a
+    # different order (last ulp); only a draw inside that gap could differ.
+    records = execute(circuit, shots, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    for record in records:
+        state = new_ground_state(circuit.num_qubits)
+        bits = []
+        for ins in circuit.instructions:
+            if ins.op == "measure":
+                result = measure_qubit(state, ins.args[0], rng)
+                state = result.post_state
+                bits.append(result.outcome)
+            else:
+                state = apply_gate(state, GateOp(GateKind(ins.op), ins.args))
+        assert [m.bit for m in record.measurement_outcomes] == bits
 
 
 def test_execute_x_gate_prepares_deterministic_outcome():

@@ -26,7 +26,7 @@ from qsignal import (
     transmit_message,
 )
 from qsignal.channel import _ancilla_circuit
-from qsignal.protocol import _protocol_circuit
+from qsignal.protocol import MAX_PAIRS, _protocol_circuit
 
 CIRCUITS = Path(__file__).resolve().parent.parent / "circuits"
 
@@ -259,6 +259,18 @@ def test_run_block_single_pair_decode_distribution():
 def test_run_block_rejects_zero_pairs():
     with pytest.raises(ValueError):
         run_block(1, 0, np.random.default_rng(0))
+
+
+def test_block_paths_reject_pairs_above_the_cap():
+    # rejected before a single uniform is drawn or a child stream spawned
+    rng = np.random.default_rng(0)
+    for run in (
+        lambda: run_block(1, MAX_PAIRS + 1, rng),
+        lambda: transmit_message([1, 0], MAX_PAIRS + 1, rng),
+    ):
+        with pytest.raises(ValueError, match=f"n_pairs must be between 1 and {MAX_PAIRS}"):
+            run()
+    assert rng.random() == np.random.default_rng(0).random()
 
 
 def test_transmit_all_zeros_is_error_free():

@@ -19,6 +19,7 @@ from qsignal import (
     not_gate,
     outcome_distribution,
 )
+from qsignal.dsl import _evolve, parse
 from qsignal.statevector import MIN_BRANCH_PROBABILITY, _measure
 
 R = 1.0 / math.sqrt(2.0)
@@ -335,7 +336,7 @@ def test_collapse_qubit_rejects_bad_outcome():
 
 def test_batched_measure_matches_measure_qubit():
     # measure_qubit is a batch-1 call of _measure: one batched call over
-    # many rows must give each row exactly what measure_qubit gives it
+    # many columns must give each column exactly what measure_qubit gives it
     rng = np.random.default_rng(17)
     qubit = 1
     tiny = 0.1 * MIN_BRANCH_PROBABILITY
@@ -350,7 +351,7 @@ def test_batched_measure_matches_measure_qubit():
         for p0 in [outcome_distribution(state, qubit)[0]]
         for u in (0.0, p0, np.nextafter(p0, 0.0), 0.5, 1.0 - 1e-16)
     ]
-    batch = np.array([state.amplitudes for state, _ in rows])
+    batch = np.array([state.amplitudes for state, _ in rows]).T.copy()
     ones, probability = _measure(batch, qubit, np.array([u for _, u in rows]))
     assert ones.any() and not ones.all()
     for k, (state, u) in enumerate(rows):
@@ -358,4 +359,28 @@ def test_batched_measure_matches_measure_qubit():
         assert result.outcome == int(ones[k])
         assert result.probability >= MIN_BRANCH_PROBABILITY
         assert result.probability == probability[k]
-        assert np.array_equal(result.post_state.amplitudes, batch[k])
+        assert np.array_equal(result.post_state.amplitudes, batch[:, k])
+
+
+def test_dtype_boundary_real_executor_complex_statevector():
+    # the executor runs float64 amplitudes with the amplitude axis first
+    circuit = parse("qubits 3\nh 2\ncnot 2 0\nmeasure 0\nx 1\nmeasure 1")
+    for amps, _ in _evolve(circuit, 5):
+        assert amps.dtype == np.float64 and amps.shape == (8, 5)
+        assert amps.flags.c_contiguous
+    # the public operations keep complex128 amplitudes, with the values
+    # the index-pair formulas give
+    a = random_state(np.random.default_rng(23), 2).amplitudes
+    h = apply_gate(StateVector(a), hadamard(1)).amplitudes
+    assert h.dtype == np.complex128
+    assert np.array_equal(h, [(a[0] + a[2]) * R, (a[1] + a[3]) * R,
+                              (a[0] - a[2]) * R, (a[1] - a[3]) * R])
+    c = apply_gate(StateVector(a), cnot(1, 0)).amplitudes
+    assert c.dtype == np.complex128 and np.array_equal(c, a[[0, 1, 3, 2]])
+    result = measure_qubit(StateVector(a), 1, FakeRandom(0.0))
+    p0 = (a.real**2 + a.imag**2)[:2].sum()
+    assert result.outcome == 0 and result.probability == p0
+    post = result.post_state.amplitudes
+    assert post.dtype == np.complex128
+    assert np.array_equal(post, [a[0] * (1.0 / np.sqrt(p0)), a[1] * (1.0 / np.sqrt(p0)), 0, 0])
+    assert not np.signbit(post[2:].view(np.float64)).any()  # the lost branch is +0.0
