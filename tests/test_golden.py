@@ -17,7 +17,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qsignal import cli, execute, load, run_block, transmit_message
+from qsignal import (cli, execute, load, monte_carlo_distribution, run_block, run_pair,
+                     transmit_message)
+from qsignal.channel import _joint_counts
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -84,6 +86,20 @@ def library_results() -> dict:
             results[f"run_block-bit{bit}-seed{seed}"] = [list(block.bob_outcomes), block.decoded_bit]
         results[f"transmit_message-seed{seed}"] = transmit_message(
             [1, 0, 1, 1, 0, 0, 1, 1], 3, np.random.default_rng(seed))
+    for seed in SEEDS:
+        for bit in (0, 1):
+            for workers in (1, 2):
+                dist = monte_carlo_distribution(bit, 70000, np.random.default_rng(seed), workers)
+                results[f"monte_carlo_distribution-bit{bit}-seed{seed}-workers{workers}"] = [
+                    dist.p_bob_0, dist.p_bob_1, dist.stderr, dist.trials, dist.count_bob_1]
+            trace = run_pair(bit, np.random.default_rng(seed))
+            # amplitudes as the hex of their complex128 bytes
+            results[f"run_pair-bit{bit}-seed{seed}"] = [
+                trace.alice_outcome, trace.bob_outcome,
+                *(s.amplitudes.tobytes().hex() for s in (trace.psi_a, trace.psi_a_prime, trace.psi_b))]
+        for workers in (1, 2):
+            results[f"_joint_counts-seed{seed}-workers{workers}"] = _joint_counts(
+                70000, np.random.default_rng(seed), workers).tolist()
     return results
 
 
