@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dsl import Circuit, Instruction, _branches, _run_batch
-from .protocol import AliceAction, _check_pairs, _protocol_circuit
+from .protocol import MAX_TRIALS, AliceAction, _check_pairs, _protocol_circuit  # noqa: F401
 
 ANCILLA_QUBIT = 2
 
@@ -31,9 +31,9 @@ ANCILLA_QUBIT = 2
 # boundaries depend only on the trial count, never on worker count, so
 # aggregate counts are reproducible at any parallelism degree.
 CHUNK_TRIALS = 1 << 16
-# Pair runs per call (trials, or blocks times pairs) are checked before
-# anything is allocated, so the chunk list and the spawned streams stay small.
-MAX_TRIALS = 1 << 32
+# Threads per call, checked before any stream is spawned; the pool never
+# holds more threads than chunks.
+_MAX_WORKERS = 64
 
 
 @dataclass(frozen=True)
@@ -235,16 +235,13 @@ def _chunk_sizes(trials: int) -> list[int]:
     return sizes
 
 
-def _map_chunks(fn, trials: int, rng: np.random.Generator, workers: int, pairs: int = 1) -> list:
-    """Apply ``fn(size, stream)`` over fixed-size chunks of ``pairs``-pair trials."""
-    limit = MAX_TRIALS // pairs
-    if not 1 <= trials <= limit:
-        raise ValueError(f"trials must be between 1 and {limit}, got {trials}")
+def _map_chunks(fn, trials: int, rng: np.random.Generator, workers: int) -> list:
+    """Apply ``fn(size, stream)`` over fixed-size chunks of ``trials`` on a thread pool."""
+    if not 1 <= workers <= _MAX_WORKERS:
+        raise ValueError(f"workers must be between 1 and {_MAX_WORKERS}, got {workers}")
     sizes = _chunk_sizes(trials)
     streams = rng.spawn(len(sizes))
-    if workers <= 1:
-        return [fn(size, stream) for size, stream in zip(sizes, streams)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=min(workers, len(sizes))) as pool:
         return list(pool.map(fn, sizes, streams))
 
 
@@ -258,14 +255,10 @@ def monte_carlo_distribution(
 
     Counting is order-insensitive and chunk streams are derived from
     ``rng`` up front, so a given master seed yields identical results at
-    any ``workers`` setting.
+    any ``workers`` setting. A one-pair block decodes 1 exactly when the
+    receiver sees 1, so this counts one-pair blocks.
     """
-    action = AliceAction(action)
-
-    def chunk_ones(size: int, stream: np.random.Generator) -> int:
-        return int(np.count_nonzero(_simulate(action, size, stream)[-1]))
-
-    count_bob_1 = sum(_map_chunks(chunk_ones, trials, rng, workers))
+    count_bob_1 = monte_carlo_block_error(action, 1, trials, rng, workers).count_decoded_one
     p1 = count_bob_1 / trials
     p0 = (trials - count_bob_1) / trials
     return EmpiricalDistribution(
@@ -290,7 +283,7 @@ def monte_carlo_block_error(
     decodes their OR, mirroring ``protocol.run_block``.
     """
     action = AliceAction(action)
-    _check_pairs(n_pairs)
+    _check_pairs(n_pairs, blocks)
 
     def chunk_decoded_ones(size: int, stream: np.random.Generator) -> int:
         any_one = np.zeros(size, dtype=bool)
@@ -298,7 +291,7 @@ def monte_carlo_block_error(
             any_one |= _simulate(action, size, stream)[-1]
         return int(np.count_nonzero(any_one))
 
-    count = sum(_map_chunks(chunk_decoded_ones, blocks, rng, workers, n_pairs))
+    count = sum(_map_chunks(chunk_decoded_ones, blocks, rng, workers))
     return BlockErrorEstimate(
         bit=action.bit, n_pairs=n_pairs, blocks=blocks, count_decoded_one=count
     )
@@ -306,6 +299,7 @@ def monte_carlo_block_error(
 
 def _joint_counts(trials: int, rng: np.random.Generator, workers: int = 1) -> np.ndarray:
     """2x2 table of (sender outcome, receiver outcome) counts for MEASURE trials."""
+    _check_pairs(1, trials)
 
     def chunk_table(size: int, stream: np.random.Generator) -> np.ndarray:
         alice, bob = _simulate(AliceAction.MEASURE, size, stream)

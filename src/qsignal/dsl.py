@@ -193,7 +193,11 @@ def execute(circuit: Circuit, shots: int, rng: np.random.Generator) -> list[RunR
     Each measurement collapses the state and consumes one uniform; the
     uniforms are drawn shot by shot, in program order within a shot, as
     ``rng.random((shots, measurements))`` lays them out, so a fixed seed
-    reproduces every record bit for bit at any batch size.
+    reproduces every record bit for bit at a given shot count. From 4
+    qubits on, a shot can get another record in a 1-shot batch (``shots=1``,
+    or the last batch) than in a wider one: a 1-shot batch sums each Born
+    mass pairwise, a wider one in index order, and a draw that falls
+    between the two sums flips that outcome.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -34,8 +35,17 @@ from .statevector import (
 
 ALICE_QUBIT = 0
 BOB_QUBIT = 1
-# Pairs per block, checked before a block draws its (n_pairs, m) uniforms.
+# The pair from the ground state: Hadamard on the receiver's qubit, then CNOT
+# with the receiver's qubit as control. Each gate is its own inverse.
+_PREPARE = (hadamard(BOB_QUBIT), cnot(BOB_QUBIT, ALICE_QUBIT))
+# Run-size caps, both checked by `_check_pairs` before anything is drawn,
+# allocated or spawned: pairs per block, and pair runs per call (blocks times
+# pairs), which keeps the Monte Carlo chunk list and its child streams small.
 MAX_PAIRS = 1 << 16
+MAX_TRIALS = 1 << 32
+# A message spawns one child stream per bit, at most as many as a Monte Carlo
+# call's MAX_TRIALS // CHUNK_TRIALS chunks.
+_MAX_MESSAGE_BITS = 1 << 16
 
 
 class AliceAction(enum.IntEnum):
@@ -85,33 +95,24 @@ class BlockResult:
 
 
 def prepare_pair() -> StateVector:
-    """The maximally entangled pair (|00> + |11>)/sqrt(2).
-
-    Built by gates from the ground state, not by writing amplitudes:
-    Hadamard on the receiver's qubit, then CNOT with the receiver's
-    qubit as control and the sender's as target.
-    """
-    state = new_ground_state(2)
-    state = apply_gate(state, hadamard(BOB_QUBIT))
-    return apply_gate(state, cnot(BOB_QUBIT, ALICE_QUBIT))
+    """The maximally entangled pair (|00> + |11>)/sqrt(2), built by the
+    preparation gates from the ground state, not by writing amplitudes."""
+    return reduce(apply_gate, _PREPARE, new_ground_state(2))
 
 
 def _protocol_circuit(action: AliceAction) -> Circuit:
     """One pair's run as a circuit, equal to ``circuits/protocol_send{bit}.qc``."""
+    prepare = tuple(Instruction(gate.kind.value, gate.qubits) for gate in _PREPARE)
     sender = (Instruction("measure", (ALICE_QUBIT,)),) if action is AliceAction.MEASURE else ()
-    return Circuit(2, (
-        Instruction("h", (BOB_QUBIT,)),
-        Instruction("cnot", (BOB_QUBIT, ALICE_QUBIT)),
-        *sender,
-        Instruction("cnot", (BOB_QUBIT, ALICE_QUBIT)),
-        Instruction("h", (BOB_QUBIT,)),
-        Instruction("measure", (BOB_QUBIT,)),
-    ))
+    return Circuit(2, (*prepare, *sender, *prepare[::-1], Instruction("measure", (BOB_QUBIT,))))
 
 
-def _check_pairs(n_pairs: int) -> None:
+def _check_pairs(n_pairs: int, blocks: int = 1) -> None:
+    """Check ``blocks`` blocks of ``n_pairs`` pairs against both run-size caps."""
     if not 1 <= n_pairs <= MAX_PAIRS:
         raise ValueError(f"n_pairs must be between 1 and {MAX_PAIRS}, got {n_pairs}")
+    if not 1 <= blocks <= MAX_TRIALS // n_pairs:
+        raise ValueError(f"trials must be between 1 and {MAX_TRIALS // n_pairs}, got {blocks}")
 
 
 def _require_pair(state: StateVector) -> None:
@@ -136,14 +137,10 @@ def alice_step(
 
 
 def restore(state: StateVector) -> StateVector:
-    """Undo the preparation: CNOT (receiver controls) first, then Hadamard.
-
-    Both gates are their own inverses, so this is the preparation
-    circuit run backwards.
-    """
+    """Undo the preparation: its gates in reverse order, CNOT then Hadamard,
+    since each gate is its own inverse."""
     _require_pair(state)
-    state = apply_gate(state, cnot(BOB_QUBIT, ALICE_QUBIT))
-    return apply_gate(state, hadamard(BOB_QUBIT))
+    return reduce(apply_gate, reversed(_PREPARE), state)
 
 
 def bob_step(state: StateVector, rng: RandomSource) -> int:
@@ -196,8 +193,8 @@ def transmit_message(
     the order in which blocks execute.
     """
     bits = [int(b) for b in bits]
-    if not bits:
-        raise ValueError("message must contain at least one bit")
+    if not 1 <= len(bits) <= _MAX_MESSAGE_BITS:
+        raise ValueError(f"message must have between 1 and {_MAX_MESSAGE_BITS} bits, got {len(bits)}")
     if any(b not in (0, 1) for b in bits):
         raise ValueError(f"message bits must be 0 or 1, got {bits}")
     _check_pairs(n_pairs)

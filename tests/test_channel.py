@@ -23,7 +23,8 @@ from qsignal import (
     z_channel_capacity,
     z_channel_mutual_information,
 )
-from qsignal.channel import MAX_TRIALS, _joint_counts, binary_entropy
+from qsignal import channel, protocol
+from qsignal.channel import CHUNK_TRIALS, MAX_TRIALS, _joint_counts, binary_entropy
 from qsignal.protocol import MAX_PAIRS
 
 
@@ -147,6 +148,49 @@ def test_monte_carlo_block_error_bounds_pairs_before_any_stream():
     with pytest.raises(ValueError, match=f"trials must be between 1 and {cap}, got"):
         monte_carlo_block_error(1, MAX_PAIRS, cap + 1, rng, workers=2)
     assert rng.spawn(1)[0].random() == np.random.default_rng(0).spawn(1)[0].random()
+
+
+def test_one_owner_holds_the_run_size_caps():
+    assert channel.MAX_TRIALS is protocol.MAX_TRIALS
+    # a message spawns no more child streams than a Monte Carlo call's chunks
+    assert protocol._MAX_MESSAGE_BITS == MAX_TRIALS // CHUNK_TRIALS
+
+
+@pytest.mark.parametrize("workers", [0, -3, 65, 10**9])
+def test_monte_carlo_rejects_workers_outside_the_cap(workers):
+    rng = np.random.default_rng(0)
+    for run in (
+        lambda: monte_carlo_distribution(1, 10, rng, workers),
+        lambda: monte_carlo_block_error(1, 2, 10, rng, workers),
+        lambda: _joint_counts(10, rng, workers),
+    ):
+        with pytest.raises(ValueError, match=f"workers must be between 1 and 64, got {workers}"):
+            run()
+    # rejected before a single child stream was spawned
+    assert rng.spawn(1)[0].random() == np.random.default_rng(0).spawn(1)[0].random()
+
+
+def test_monte_carlo_pool_holds_no_more_threads_than_chunks(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        # Records the pool size and maps in the calling thread: no thread starts.
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(channel, "ThreadPoolExecutor", SerialPool)
+    for trials, workers in ((10, 64), (2 * CHUNK_TRIALS + 1, 64), (2 * CHUNK_TRIALS + 1, 2)):
+        monte_carlo_distribution(1, trials, np.random.default_rng(7), workers)
+    assert sizes == [1, 3, 2]
 
 
 def test_block_error_monte_carlo_consistency():

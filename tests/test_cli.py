@@ -103,6 +103,10 @@ def test_block_rejects_unbounded_trials(capsys):
      "trials must be between 1 and 65536"),
     (["transmit", "--message", "10", "--n", "1000000000"],
      "n_pairs must be between 1 and 65536"),
+    (["transmit", "--message", "1" * 65537, "--n", "1"],
+     "message must have between 1 and 65536 bits"),
+    (["block", "--n", "1", "--bit", "1", "--trials", "10", "--workers", "65"],
+     "workers must be between 1 and 64"),
 ])
 def test_simulations_reject_unbounded_pairs(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv, "--seed", "0")

@@ -273,6 +273,15 @@ def test_block_paths_reject_pairs_above_the_cap():
     assert rng.random() == np.random.default_rng(0).random()
 
 
+def test_transmit_rejects_messages_above_the_cap():
+    rng = np.random.default_rng(0)
+    for bits in ([], [1, 0] * (1 << 15) + [1]):
+        with pytest.raises(ValueError, match=f"message must have between 1 and 65536 bits, got {len(bits)}"):
+            transmit_message(bits, 1, rng)
+    # rejected before a single child stream was spawned
+    assert rng.spawn(1)[0].random() == np.random.default_rng(0).spawn(1)[0].random()
+
+
 def test_transmit_all_zeros_is_error_free():
     decoded = transmit_message([0, 0, 0], 10, np.random.default_rng(10))
     assert decoded == [0, 0, 0]
