@@ -29,7 +29,7 @@ from .channel import (
     monte_carlo_block_error,
     mutual_information,
 )
-from .dsl import ParseError, execute, load
+from .dsl import ParseError, _sample, load
 from .protocol import transmit_message
 
 FORMAT_ENV_VAR = "QSIGNAL_FORMAT"
@@ -128,13 +128,11 @@ _RUN_FIELDS = ["experiment", "file", "shots", "seed", "outcome", "count", "frequ
 
 
 def cmd_run(args) -> tuple[list[str], list[dict], bool]:
-    circuit = load(args.file)
-    records = execute(circuit, args.shots, np.random.default_rng(args.seed))
-    histogram = Counter(
-        "".join(str(m.bit) for m in record.measurement_outcomes)
-        for record in records
-        if record.measurement_outcomes
-    )
+    histogram = Counter()
+    for bits in _sample(load(args.file), args.shots, np.random.default_rng(args.seed)):
+        outcomes, counts = np.unique(bits.T, axis=0, return_counts=True)
+        for row, count in zip(outcomes.tolist(), counts.tolist()):
+            histogram["".join("01"[b] for b in row)] += count
     rows = [
         {
             "experiment": "run",
@@ -146,6 +144,7 @@ def cmd_run(args) -> tuple[list[str], list[dict], bool]:
             "frequency": count / args.shots,
         }
         for outcome, count in sorted(histogram.items())
+        if outcome  # a circuit without measurements has no outcomes to report
     ]
     return _RUN_FIELDS, rows, True
 

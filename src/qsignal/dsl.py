@@ -75,9 +75,11 @@ _INT_RE = re.compile(r"[0-9]+\Z")
 # Longer operands are rejected before int(), whose digit limit
 # (sys.set_int_max_str_digits) is never set below 640.
 _MAX_DIGITS = 640
-# `execute` holds at most this many amplitudes (2 MiB) per batch of shots,
+# `_sample` holds at most this many amplitudes (2 MiB) per batch of shots,
 # so circuits of 18 or more qubits still run one shot at a time.
 _BATCH_AMPLITUDES = 1 << 18
+# Runs per call, checked before any draw: shots here, pair runs in `protocol`.
+MAX_TRIALS = 1 << 32
 
 
 def parse(text: str) -> Circuit:
@@ -186,6 +188,17 @@ def _branches(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
     return records, weights
 
 
+def _sample(circuit: Circuit, shots: int, rng: np.random.Generator):
+    """Yield `_run_batch` bits of ``shots`` runs, batch by batch, with the
+    uniforms laid out as in ``rng.random((shots, measurements)).T``."""
+    if not 1 <= shots <= MAX_TRIALS:
+        raise ValueError(f"shots must be between 1 and {MAX_TRIALS}, got {shots}")
+    measurements = sum(ins.op == "measure" for ins in circuit.instructions)
+    batch = max(1, _BATCH_AMPLITUDES >> circuit.num_qubits)
+    for start in range(0, shots, batch):
+        yield _run_batch(circuit, rng.random((min(batch, shots - start), measurements)).T)
+
+
 def execute(circuit: Circuit, shots: int, rng: np.random.Generator) -> list[RunRecord]:
     """Run the circuit ``shots`` times, each from the ground state.
 
@@ -193,22 +206,10 @@ def execute(circuit: Circuit, shots: int, rng: np.random.Generator) -> list[RunR
     Each measurement collapses the state and consumes one uniform; the
     uniforms are drawn shot by shot, in program order within a shot, as
     ``rng.random((shots, measurements))`` lays them out, so a fixed seed
-    reproduces every record bit for bit at a given shot count. From 4
-    qubits on, a shot can get another record in a 1-shot batch (``shots=1``,
-    or the last batch) than in a wider one: a 1-shot batch sums each Born
-    mass pairwise, a wider one in index order, and a draw that falls
-    between the two sums flips that outcome.
+    reproduces every record bit for bit.
     """
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
     measures = [(ins.line, ins.args[0]) for ins in circuit.instructions if ins.op == "measure"]
-    batch = max(1, _BATCH_AMPLITUDES >> circuit.num_qubits)
-    records = []
-    for start in range(0, shots, batch):
-        bits = _run_batch(circuit, rng.random((min(batch, shots - start), len(measures))).T)
-        records.extend(
-            RunRecord(shot, tuple(MeasurementRecord(line, qubit, int(bit))
+    rows = (row for bits in _sample(circuit, shots, rng) for row in bits.T.tolist())
+    return [RunRecord(shot, tuple(MeasurementRecord(line, qubit, int(bit))
                                   for (line, qubit), bit in zip(measures, row)))
-            for shot, row in enumerate(bits.T.tolist(), start)
-        )
-    return records
+            for shot, row in enumerate(rows)]

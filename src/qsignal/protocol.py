@@ -22,7 +22,7 @@ from functools import reduce
 
 import numpy as np
 
-from .dsl import Circuit, Instruction, _run_batch
+from .dsl import MAX_TRIALS, Circuit, Instruction, _sample
 from .statevector import (
     RandomSource,
     StateVector,
@@ -38,11 +38,8 @@ BOB_QUBIT = 1
 # The pair from the ground state: Hadamard on the receiver's qubit, then CNOT
 # with the receiver's qubit as control. Each gate is its own inverse.
 _PREPARE = (hadamard(BOB_QUBIT), cnot(BOB_QUBIT, ALICE_QUBIT))
-# Run-size caps, both checked by `_check_pairs` before anything is drawn,
-# allocated or spawned: pairs per block, and pair runs per call (blocks times
-# pairs), which keeps the Monte Carlo chunk list and its child streams small.
+# Pairs per block, checked with MAX_TRIALS by `_check_pairs` before any draw or spawn.
 MAX_PAIRS = 1 << 16
-MAX_TRIALS = 1 << 32
 # A message spawns one child stream per bit, at most as many as a Monte Carlo
 # call's MAX_TRIALS // CHUNK_TRIALS chunks.
 _MAX_MESSAGE_BITS = 1 << 16
@@ -177,8 +174,7 @@ def run_block(
     """
     _check_pairs(n_pairs)
     action = AliceAction(action)
-    # One uniform per measurement: the sender's (if she measures), then the receiver's.
-    bits = _run_batch(_protocol_circuit(action), rng.random((n_pairs, 1 + action.bit)).T)
+    bits = np.hstack([*_sample(_protocol_circuit(action), n_pairs, rng)])
     outcomes = tuple(bits[-1].astype(int).tolist())
     return BlockResult(n_pairs, outcomes, int(any(outcomes)))
 
@@ -195,8 +191,9 @@ def transmit_message(
     bits = [int(b) for b in bits]
     if not 1 <= len(bits) <= _MAX_MESSAGE_BITS:
         raise ValueError(f"message must have between 1 and {_MAX_MESSAGE_BITS} bits, got {len(bits)}")
-    if any(b not in (0, 1) for b in bits):
-        raise ValueError(f"message bits must be 0 or 1, got {bits}")
+    bad = next((i for i, b in enumerate(bits) if b not in (0, 1)), None)
+    if bad is not None:
+        raise ValueError(f"message bit {bad} must be 0 or 1, got {bits[bad]}")
     _check_pairs(n_pairs)
     streams = rng.spawn(len(bits))
     return [

@@ -197,10 +197,18 @@ _KERNELS = {"h": _apply_hadamard, "x": _apply_not, "cnot": _apply_cnot}
 
 
 def _born_probabilities(amps: np.ndarray, qubit: int) -> tuple[np.ndarray, np.ndarray]:
-    """Squared-magnitude mass on each branch of ``qubit``, per batch entry."""
+    """Squared-magnitude mass on each branch of ``qubit``, per batch entry.
+
+    Real arrays come from the executor, whose gates (H, X, CNOT) are all
+    Clifford: each of its Born probabilities is exactly 0, 1/2 or 1, so the
+    sum is rounded to that value and the roundoff dropped.
+    """
     v = amps.reshape((-1, 2, 1 << qubit) + amps.shape[1:])
-    mag = v.real**2 + v.imag**2 if np.iscomplexobj(v) else v**2
-    return mag[:, 0].sum(axis=(0, 1)), mag[:, 1].sum(axis=(0, 1))
+    if np.iscomplexobj(v):
+        mag = v.real**2 + v.imag**2
+        return mag[:, 0].sum(axis=(0, 1)), mag[:, 1].sum(axis=(0, 1))
+    p0 = np.rint(2 * (v[:, 0] ** 2).sum(axis=(0, 1))) / 2
+    return p0, 1.0 - p0
 
 
 def _measure(amps: np.ndarray, qubit: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -23,7 +23,7 @@ from qsignal import (
     z_channel_capacity,
     z_channel_mutual_information,
 )
-from qsignal import channel, protocol
+from qsignal import channel, dsl, protocol
 from qsignal.channel import CHUNK_TRIALS, MAX_TRIALS, _joint_counts, binary_entropy
 from qsignal.protocol import MAX_PAIRS
 
@@ -151,7 +151,7 @@ def test_monte_carlo_block_error_bounds_pairs_before_any_stream():
 
 
 def test_one_owner_holds_the_run_size_caps():
-    assert channel.MAX_TRIALS is protocol.MAX_TRIALS
+    assert channel.MAX_TRIALS is protocol.MAX_TRIALS is dsl.MAX_TRIALS
     # a message spawns no more child streams than a Monte Carlo call's chunks
     assert protocol._MAX_MESSAGE_BITS == MAX_TRIALS // CHUNK_TRIALS
 

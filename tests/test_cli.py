@@ -1,11 +1,16 @@
 import json
 import math
+from collections import Counter
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from qsignal import execute, load
 from qsignal.cli import main
 
 BELL_TEXT = "qubits 2\nh 1\ncnot 1 0\nmeasure 0\nmeasure 1\n"
+BELL = str(Path(__file__).resolve().parent.parent / "circuits" / "bell.qc")
 
 
 def run_cli(capsys, *argv):
@@ -107,6 +112,8 @@ def test_block_rejects_unbounded_trials(capsys):
      "message must have between 1 and 65536 bits"),
     (["block", "--n", "1", "--bit", "1", "--trials", "10", "--workers", "65"],
      "workers must be between 1 and 64"),
+    (["run", BELL, "--shots", "4294967297"],
+     "shots must be between 1 and 4294967296"),
 ])
 def test_simulations_reject_unbounded_pairs(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv, "--seed", "0")
@@ -152,6 +159,19 @@ def test_run_reports_histogram(capsys, tmp_path):
     assert sum(row["count"] for row in rows) == 2000
     for row in rows:
         assert row["shots"] == 2000 and row["seed"] == 3
+
+
+def test_run_counts_outcomes_wider_than_a_machine_word(capsys, tmp_path):
+    # 65 random bits per shot: a histogram keyed on 64-bit packed integers would merge or
+    # truncate outcomes
+    path = tmp_path / "wide.qc"
+    path.write_text("qubits 1\n" + "h 0\nmeasure 0\n" * 65, encoding="utf-8")
+    code, out, _ = run_cli(capsys, "run", str(path), "--shots", "300", "--seed", "4")
+    assert code == 0
+    records = execute(load(path), 300, np.random.default_rng(4))
+    expected = Counter("".join(str(m.bit) for m in r.measurement_outcomes) for r in records)
+    assert {row["outcome"]: row["count"] for row in json.loads(out)} == expected
+    assert {len(outcome) for outcome in expected} == {65}
 
 
 def test_run_missing_file_fails_cleanly(capsys):

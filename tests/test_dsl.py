@@ -1,7 +1,9 @@
+import argparse
 import math
 import sys
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,7 +27,10 @@ from qsignal import (
     parse,
     render,
 )
-from qsignal.dsl import _branches
+from qsignal import dsl
+from qsignal.cli import cmd_run
+from qsignal.dsl import MAX_TRIALS, _branches, _evolve
+from qsignal.statevector import _KERNELS, _born_probabilities, _measure
 
 BELL_TEXT = "qubits 2\nh 1\ncnot 1 0"
 CIRCUITS = Path(__file__).resolve().parent.parent / "circuits"
@@ -218,8 +223,8 @@ def test_execute_matches_statevector_operations():
 def test_execute_replays_the_complex_statevector_path(circuit, seed, shots):
     # differential: the float64 batched executor against shot-by-shot
     # complex128 StateVector operations fed the same stream, bit for bit.
-    # From 4 qubits on, the two layouts may sum a Born probability in a
-    # different order (last ulp); only a draw inside that gap could differ.
+    # The executor's Born probabilities are exact; a complex one can be an
+    # ulp off, and only a draw inside that gap could differ.
     records = execute(circuit, shots, np.random.default_rng(seed))
     rng = np.random.default_rng(seed)
     for record in records:
@@ -233,6 +238,41 @@ def test_execute_replays_the_complex_statevector_path(circuit, seed, shots):
             else:
                 state = apply_gate(state, GateOp(GateKind(ins.op), ins.args))
         assert [m.bit for m in record.measurement_outcomes] == bits
+
+
+@given(circuits(), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_executor_born_probabilities_are_exact(circuit, seed):
+    # H, X and CNOT are Clifford: every state is a stabilizer state
+    rng = np.random.default_rng(seed)
+    for amps, qubit in _evolve(circuit, 8):
+        p0, p1 = _born_probabilities(amps, qubit)
+        assert set(p0.tolist()) <= {0.0, 0.5, 1.0}
+        assert (p0 + p1 == 1.0).all()
+        _measure(amps, qubit, rng.random(8))
+
+
+def test_executor_gates_are_clifford():
+    # _born_probabilities rounds executor probabilities to 0, 1/2 or 1,
+    # which is exact only while every kernel is a Clifford gate
+    assert set(_KERNELS) == {"h", "x", "cnot"}
+
+
+@given(circuits(), st.integers(0, 2**32 - 1), st.integers(1, 200))
+@settings(max_examples=100, deadline=None)
+def test_run_histogram_counts_the_execute_records(tmp_path_factory, circuit, seed, shots):
+    path = tmp_path_factory.mktemp("run") / "circuit.qc"
+    path.write_text(render(circuit), encoding="utf-8")
+    # batches of at most 64 amplitudes, so the histogram is merged across many
+    with mock.patch.object(dsl, "_BATCH_AMPLITUDES", 64):
+        _, rows, _ = cmd_run(argparse.Namespace(file=str(path), shots=shots, seed=seed))
+    expected = Counter(
+        "".join(str(m.bit) for m in record.measurement_outcomes)
+        for record in execute(circuit, shots, np.random.default_rng(seed))
+        if record.measurement_outcomes
+    )
+    assert [row["outcome"] for row in rows] == sorted(expected)
+    assert {row["outcome"]: row["count"] for row in rows} == expected
 
 
 def test_execute_x_gate_prepares_deterministic_outcome():
@@ -296,9 +336,13 @@ def test_execute_histogram_matches_branch_weights(path):
 
 
 def test_execute_rejects_bad_shot_counts():
-    circuit = parse("qubits 1\nh 0")
-    with pytest.raises(ValueError):
-        execute(circuit, 0, np.random.default_rng(0))
+    circuit = parse("qubits 1\nh 0\nmeasure 0")
+    rng = np.random.default_rng(0)
+    for shots in (0, MAX_TRIALS + 1):
+        with pytest.raises(ValueError, match=f"shots must be between 1 and {MAX_TRIALS}, got {shots}"):
+            execute(circuit, shots, rng)
+    # rejected before a single uniform was drawn
+    assert rng.random() == np.random.default_rng(0).random()
 
 
 def test_load_parses_files(tmp_path):

@@ -314,5 +314,10 @@ def test_transmit_rejects_empty_message():
 
 
 def test_transmit_rejects_non_bits():
-    with pytest.raises(ValueError):
-        transmit_message([0, 2], 10, np.random.default_rng(0))
+    # the error names the first bad bit, not the whole message
+    for bits, index in (([0, 2], 1), ([0] * 65535 + [2], 65535)):
+        with pytest.raises(ValueError) as excinfo:
+            transmit_message(bits, 10, np.random.default_rng(0))
+        message = str(excinfo.value)
+        assert len(message) < 100
+        assert message == f"message bit {index} must be 0 or 1, got 2"
