@@ -336,13 +336,15 @@ def test_execute_histogram_matches_branch_weights(path):
 
 
 def test_execute_rejects_bad_shot_counts():
-    circuit = parse("qubits 1\nh 0\nmeasure 0")
-    rng = np.random.default_rng(0)
-    for shots in (0, MAX_TRIALS + 1):
-        with pytest.raises(ValueError, match=f"shots must be between 1 and {MAX_TRIALS}, got {shots}"):
-            execute(circuit, shots, rng)
-    # rejected before a single uniform was drawn
-    assert rng.random() == np.random.default_rng(0).random()
+    # with and without a measurement: a circuit that draws nothing is
+    # bounded all the same
+    for text in ("qubits 1\nh 0", "qubits 1\nh 0\nmeasure 0"):
+        rng = np.random.default_rng(0)
+        for shots in (0, MAX_TRIALS + 1):
+            with pytest.raises(ValueError, match=f"shots must be between 1 and {MAX_TRIALS}, got {shots}"):
+                execute(parse(text), shots, rng)
+        # rejected before a single uniform was drawn
+        assert rng.random() == np.random.default_rng(0).random()
 
 
 def test_load_parses_files(tmp_path):
