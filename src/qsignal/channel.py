@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsl import Circuit, Instruction, _branches, _run_batch
+from .dsl import Circuit, Instruction, _Outcome, _branches, _compile, _draw
 from .protocol import MAX_TRIALS, AliceAction, _check_pairs, _protocol_circuit  # noqa: F401
 
 ANCILLA_QUBIT = 2
@@ -219,13 +219,15 @@ def channel_capacity(channel: ZChannel) -> tuple[float, float]:
 # --- vectorized Monte Carlo engine ------------------------------------------
 
 
-def _simulate(action: AliceAction, count: int, rng: np.random.Generator) -> np.ndarray:
+def _simulate(outcomes: tuple[_Outcome, ...], count: int, rng: np.random.Generator) -> np.ndarray:
     """Outcome bits of ``count`` independent protocol pairs, one row per
     measurement (the sender's, if she measures, then the receiver's).
 
-    Each measurement draws ``count`` uniforms from ``rng`` in turn.
+    ``outcomes`` is the protocol circuit compiled by `dsl._compile`, once
+    per Monte Carlo call. Each measurement draws ``count`` uniforms from
+    ``rng`` in turn.
     """
-    return _run_batch(_protocol_circuit(action), rng.random((1 + action.bit, count)))
+    return _draw(outcomes, rng.random((len(outcomes), count)))
 
 
 def _chunk_sizes(trials: int) -> list[int]:
@@ -284,11 +286,12 @@ def monte_carlo_block_error(
     """
     action = AliceAction(action)
     _check_pairs(n_pairs, blocks)
+    outcomes = _compile(_protocol_circuit(action))
 
     def chunk_decoded_ones(size: int, stream: np.random.Generator) -> int:
         any_one = np.zeros(size, dtype=bool)
         for _ in range(n_pairs):
-            any_one |= _simulate(action, size, stream)[-1]
+            any_one |= _simulate(outcomes, size, stream)[-1]
         return int(np.count_nonzero(any_one))
 
     count = sum(_map_chunks(chunk_decoded_ones, blocks, rng, workers))
@@ -300,9 +303,10 @@ def monte_carlo_block_error(
 def _joint_counts(trials: int, rng: np.random.Generator, workers: int = 1) -> np.ndarray:
     """2x2 table of (sender outcome, receiver outcome) counts for MEASURE trials."""
     _check_pairs(1, trials)
+    outcomes = _compile(_protocol_circuit(AliceAction.MEASURE))
 
     def chunk_table(size: int, stream: np.random.Generator) -> np.ndarray:
-        alice, bob = _simulate(AliceAction.MEASURE, size, stream)
+        alice, bob = _simulate(outcomes, size, stream)
         return np.bincount(2 * alice + bob, minlength=4).reshape(2, 2)
 
     return sum(_map_chunks(chunk_table, trials, rng, workers))

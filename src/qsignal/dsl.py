@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .statevector import _KERNELS, MAX_QUBITS, _measure
+from .statevector import MAX_QUBITS
 
 
 class ParseError(ValueError):
@@ -75,9 +75,10 @@ _INT_RE = re.compile(r"[0-9]+\Z")
 # Longer operands are rejected before int(), whose digit limit
 # (sys.set_int_max_str_digits) is never set below 640.
 _MAX_DIGITS = 640
-# `_sample` holds at most this many amplitudes (2 MiB) per batch of shots,
-# so circuits of 18 or more qubits still run one shot at a time.
-_BATCH_AMPLITUDES = 1 << 18
+# `_sample` draws at most this many uniforms (2 MiB) per batch of shots.
+_BATCH_UNIFORMS = 1 << 18
+# A compiled ``measure``: None for a fair coin, else ``(constant, sources)``.
+_Outcome = tuple[int, tuple[int, ...]] | None
 # Runs per call, checked before any draw: shots here, pair runs in `protocol`.
 MAX_TRIALS = 1 << 32
 
@@ -144,20 +145,93 @@ def load(path) -> Circuit:
         return parse(fh.read())
 
 
-def _evolve(circuit: Circuit, batch: int):
-    """Run ``batch`` copies of ``circuit`` from the ground state, gates in place.
+def _product_sign(x1: int, z1: int, x2: int, z2: int) -> int:
+    """1 if the product of two commuting Pauli rows picks up a -1, else 0.
 
-    The amplitudes are one real float64 ``(2**n, batch)`` array, since every
-    gate is real. Yields ``(amps, qubit)`` at each ``measure``; the caller
-    collapses ``amps`` in place before the program goes on.
+    Rows are bitmasks over qubits (X part, Z part). Each qubit adds the
+    exponent of i that its pair of factors yields (Aaronson & Gottesman's
+    g); for commuting rows the sum is 0 or 2 mod 4.
     """
-    amps = np.zeros((1 << circuit.num_qubits, batch))
-    amps[0] = 1.0
+    plus = (x1 & z1 & z2 & ~x2) | (x1 & ~z1 & x2 & z2) | (~x1 & z1 & x2 & ~z2)
+    minus = (x1 & z1 & x2 & ~z2) | (x1 & ~z1 & z2 & ~x2) | (~x1 & z1 & x2 & z2)
+    return (plus.bit_count() - minus.bit_count()) >> 1 & 1
+
+
+def _compile(circuit: Circuit) -> tuple[_Outcome, ...]:
+    """Each ``measure`` of ``circuit`` as an affine function of earlier outcomes.
+
+    H, X, CNOT and Z-basis measurement are Clifford, so whether an outcome
+    is random, and how a determined one depends on earlier ones, is fixed
+    by the circuit. One pass of a stabilizer tableau (Aaronson & Gottesman,
+    PRA 70, 052328, 2004) finds it. Rows 0..n-1 are destabilizers and
+    n..2n-1 stabilizers, each an X and a Z bitmask over qubits, and a
+    row's sign is symbolic: bit 0 a constant, bit k + 1 the outcome of the
+    k-th measurement. Entry k is None if the k-th outcome is a fair coin,
+    else ``(constant, sources)``: that outcome is ``constant`` XOR the
+    outcomes of the earlier random measurements in ``sources``.
+    """
+    n = circuit.num_qubits
+    xs = [1 << q for q in range(n)] + [0] * n
+    zs = [0] * n + [1 << q for q in range(n)]
+    signs = [0] * (2 * n)  # destabilizer signs are carried, never read
+    outcomes: list[_Outcome] = []
     for ins in circuit.instructions:
-        if ins.op == "measure":
-            yield amps, ins.args[0]
-        else:
-            _KERNELS[ins.op](amps, *ins.args)
+        a = 1 << ins.args[0]
+        if ins.op != "measure":
+            for i in range(2 * n):
+                x, z = xs[i], zs[i]
+                if ins.op == "h":
+                    signs[i] ^= bool(x & z & a)
+                    xs[i], zs[i] = x ^ (x ^ z) & a, z ^ (x ^ z) & a
+                elif ins.op == "x":
+                    signs[i] ^= bool(z & a)
+                elif ins.op == "cnot":
+                    c, t = ins.args
+                    xc, zt = x >> c & 1, z >> t & 1
+                    signs[i] ^= xc & zt & (1 ^ (x >> t & 1) ^ (z >> c & 1))
+                    xs[i], zs[i] = x ^ xc << t, z ^ zt << c
+                else:
+                    raise ValueError(f"unknown gate '{ins.op}'")
+            continue
+        p = next((i for i in range(n, 2 * n) if xs[i] & a), None)
+        if p is None:
+            # determined: Z_a is the product of the stabilizers paired with
+            # the destabilizers that anticommute with it
+            x = z = sign = 0
+            for i in range(n):
+                if xs[i] & a:
+                    sign ^= signs[n + i] ^ _product_sign(xs[n + i], zs[n + i], x, z)
+                    x, z = x ^ xs[n + i], z ^ zs[n + i]
+            sources, rest = [], sign >> 1
+            while rest:
+                sources.append((rest & -rest).bit_length() - 1)
+                rest &= rest - 1
+            outcomes.append((sign & 1, tuple(sources)))
+            continue
+        for i in range(2 * n):
+            if i != p and xs[i] & a:
+                signs[i] ^= signs[p] ^ _product_sign(xs[p], zs[p], xs[i], zs[i])
+                xs[i], zs[i] = xs[i] ^ xs[p], zs[i] ^ zs[p]
+        xs[p - n], zs[p - n] = xs[p], zs[p]
+        xs[p], zs[p], signs[p] = 0, a, 1 << len(outcomes) + 1
+        outcomes.append(None)
+    return tuple(outcomes)
+
+
+def _draw(outcomes: tuple[_Outcome, ...], uniforms: np.ndarray) -> np.ndarray:
+    """Outcome bits of a compiled circuit, one column per shot: a random
+    outcome is 1 iff its uniform is at least 1/2, a determined one the
+    XOR of its sources and constant."""
+    bits = np.empty(uniforms.shape, dtype=bool)
+    for k, outcome in enumerate(outcomes):
+        if outcome is None:
+            np.greater_equal(uniforms[k], 0.5, out=bits[k])
+            continue
+        constant, sources = outcome
+        bits[k] = constant
+        for j in sources:
+            bits[k] ^= bits[j]
+    return bits
 
 
 def _run_batch(circuit: Circuit, uniforms: np.ndarray) -> np.ndarray:
@@ -165,46 +239,54 @@ def _run_batch(circuit: Circuit, uniforms: np.ndarray) -> np.ndarray:
 
     Row k of ``uniforms`` holds the draws for the k-th ``measure``, one
     per shot. Returns the outcome bits as a bool array of the same shape.
+    The circuit runs through its compiled map (`_compile`), with no
+    amplitudes. Every Born probability is 0, 1/2 or 1, so this is the
+    dense rule (outcome 0 iff the draw is below p0, never a branch below
+    MIN_BRANCH_PROBABILITY) bit for bit.
     """
-    bits = np.empty(uniforms.shape, dtype=bool)
-    for k, (amps, qubit) in enumerate(_evolve(circuit, uniforms.shape[1])):
-        bits[k] = _measure(amps, qubit, uniforms[k])[0]
-    return bits
+    return _draw(_compile(circuit), uniforms)
 
 
 def _branches(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
     """All ``2**m`` records of the ``m`` measurements, as ``_run_batch``
     lays out bits (one column each, in lexicographic order), and the
-    exact probability of each. Every record runs in one batch with its
-    outcomes forced by draws of 0 or inf; one that needs a branch below
-    MIN_BRANCH_PROBABILITY gets weight 0.
+    exact probability of each. A record that the compiled map reaches
+    weighs ``2**-r``, r being its number of random outcomes; any other
+    weighs 0.
     """
-    m = sum(ins.op == "measure" for ins in circuit.instructions)
+    outcomes = _compile(circuit)
+    m = len(outcomes)
     records = ((np.arange(1 << m) >> np.arange(m - 1, -1, -1)[:, None]) & 1).astype(bool)
-    weights = np.ones(1 << m)
-    for k, (amps, qubit) in enumerate(_evolve(circuit, 1 << m)):
-        ones, probability = _measure(amps, qubit, np.where(records[k], np.inf, 0.0))
-        weights *= np.where(ones == records[k], probability, 0.0)
-    return records, weights
+    live = np.ones(1 << m, dtype=bool)
+    for k, outcome in enumerate(outcomes):
+        if outcome is not None:
+            constant, sources = outcome
+            live &= records[k] == np.bitwise_xor.reduce(records[list(sources)], axis=0, initial=constant)
+    return records, np.where(live, 0.5 ** outcomes.count(None), 0.0)
 
 
 def _sample(circuit: Circuit, shots: int, rng: np.random.Generator):
     """Yield `_run_batch` bits of ``shots`` runs, batch by batch, with the
-    uniforms laid out as in ``rng.random((shots, measurements)).T``."""
+    uniforms laid out as in ``rng.random((shots, measurements)).T``.
+
+    The circuit is compiled once. A batch draws at most `_BATCH_UNIFORMS`
+    uniforms; draws are sequential, so the stream does not depend on the
+    batch size.
+    """
     if not 1 <= shots <= MAX_TRIALS:
         raise ValueError(f"shots must be between 1 and {MAX_TRIALS}, got {shots}")
-    measurements = sum(ins.op == "measure" for ins in circuit.instructions)
-    batch = max(1, _BATCH_AMPLITUDES >> circuit.num_qubits)
+    outcomes = _compile(circuit)
+    batch = max(1, _BATCH_UNIFORMS // max(1, len(outcomes)))
     for start in range(0, shots, batch):
-        yield _run_batch(circuit, rng.random((min(batch, shots - start), measurements)).T)
+        yield _draw(outcomes, rng.random((min(batch, shots - start), len(outcomes))).T)
 
 
 def execute(circuit: Circuit, shots: int, rng: np.random.Generator) -> list[RunRecord]:
     """Run the circuit ``shots`` times, each from the ground state.
 
-    Shots run in batches through one vectorized pass over the program.
-    Each measurement collapses the state and consumes one uniform; the
-    uniforms are drawn shot by shot, in program order within a shot, as
+    Shots run in batches through the circuit's compiled map (see
+    `_run_batch`). Each measurement consumes one uniform; the uniforms
+    are drawn shot by shot, in program order within a shot, as
     ``rng.random((shots, measurements))`` lays them out, so a fixed seed
     reproduces every record bit for bit.
     """

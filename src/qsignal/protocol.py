@@ -17,8 +17,11 @@ becomes readable only through the two-qubit ``restore`` gate.
 from __future__ import annotations
 
 import enum
+import operator
+from collections.abc import Sized
 from dataclasses import dataclass
 from functools import reduce
+from itertools import islice
 
 import numpy as np
 
@@ -179,6 +182,17 @@ def run_block(
     return BlockResult(n_pairs, outcomes, int(any(outcomes)))
 
 
+def _message_bit(index: int, bit) -> int:
+    """``bit`` as the int 0 or 1; anything else, a float included, is rejected."""
+    try:
+        value = operator.index(bit)
+    except TypeError:
+        value = None
+    if value not in (0, 1):
+        raise ValueError(f"message bit {index} must be 0 or 1, got {bit!r}")
+    return value
+
+
 def transmit_message(
     bits, n_pairs: int, rng: np.random.Generator
 ) -> list[int]:
@@ -186,14 +200,18 @@ def transmit_message(
 
     Block i draws from the i-th child stream spawned from ``rng``
     (``numpy.random.Generator.spawn``), so the result is independent of
-    the order in which blocks execute.
+    the order in which blocks execute. The length is checked before any
+    bit is converted; an iterable without a length is read at most one
+    bit past the cap. Bits must be integral (``operator.index``).
     """
-    bits = [int(b) for b in bits]
+    if isinstance(bits, Sized):
+        count = len(bits)
+    else:
+        bits = list(islice(bits, _MAX_MESSAGE_BITS + 1))
+        count = len(bits) if len(bits) <= _MAX_MESSAGE_BITS else f"more than {_MAX_MESSAGE_BITS}"
     if not 1 <= len(bits) <= _MAX_MESSAGE_BITS:
-        raise ValueError(f"message must have between 1 and {_MAX_MESSAGE_BITS} bits, got {len(bits)}")
-    bad = next((i for i, b in enumerate(bits) if b not in (0, 1)), None)
-    if bad is not None:
-        raise ValueError(f"message bit {bad} must be 0 or 1, got {bits[bad]}")
+        raise ValueError(f"message must have between 1 and {_MAX_MESSAGE_BITS} bits, got {count}")
+    bits = [_message_bit(i, b) for i, b in enumerate(bits)]
     _check_pairs(n_pairs)
     streams = rng.spawn(len(bits))
     return [

@@ -3,9 +3,11 @@
 Basis state |b_{n-1} ... b_1 b_0> maps to the integer sum(b_k * 2**k), so
 qubit 0 is the least-significant bit of the basis index. Gates are applied
 by strided index-pair updates on the amplitude array; the full 2^n x 2^n
-unitary is never materialized. A `StateVector` holds complex128 amplitudes;
-the circuit executor in `dsl` runs the same kernels on real float64
-amplitudes, since every gate here (H, X, CNOT) is real.
+unitary is never materialized. A `StateVector` holds complex128 amplitudes.
+The kernels also take a real float64 ``(2**n, batch)`` array, one column
+per state, as the dense reference executor in the tests uses them. The
+circuit executor in `dsl` does not run these kernels: it samples a
+compiled stabilizer map and holds no amplitudes.
 
 All public operations use value semantics: they return new states and
 leave their inputs untouched.
@@ -161,9 +163,9 @@ class MeasurementResult:
 #
 # Each kernel mutates a writeable array in place. The first axis is the
 # 2**n amplitude axis and any trailing axes are independent batch entries,
-# so one kernel set serves the executor in `dsl`, which runs every shot at
-# once as a float64 (2**n, batch) array, and the complex128 buffers of the
-# public operations, which are batch-1 calls.
+# so one kernel set serves a batch of states held as one float64
+# (2**n, batch) array and the complex128 buffers of the public
+# operations, which are batch-1 calls.
 
 
 def _apply_hadamard(amps: np.ndarray, qubit: int) -> None:
@@ -199,9 +201,10 @@ _KERNELS = {"h": _apply_hadamard, "x": _apply_not, "cnot": _apply_cnot}
 def _born_probabilities(amps: np.ndarray, qubit: int) -> tuple[np.ndarray, np.ndarray]:
     """Squared-magnitude mass on each branch of ``qubit``, per batch entry.
 
-    Real arrays come from the executor, whose gates (H, X, CNOT) are all
-    Clifford: each of its Born probabilities is exactly 0, 1/2 or 1, so the
-    sum is rounded to that value and the roundoff dropped.
+    Real arrays hold states reached from the ground state by H, X, CNOT and
+    measurement, all Clifford: each of their Born probabilities is exactly
+    0, 1/2 or 1, so the sum is rounded to that value and the roundoff
+    dropped.
     """
     v = amps.reshape((-1, 2, 1 << qubit) + amps.shape[1:])
     if np.iscomplexobj(v):

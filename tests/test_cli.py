@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -172,6 +173,22 @@ def test_run_counts_outcomes_wider_than_a_machine_word(capsys, tmp_path):
     expected = Counter("".join(str(m.bit) for m in r.measurement_outcomes) for r in records)
     assert {row["outcome"]: row["count"] for row in json.loads(out)} == expected
     assert {len(outcome) for outcome in expected} == {65}
+
+
+def test_run_without_measurements_evolves_no_state(capsys, tmp_path):
+    # one 20-qubit state is 8 MiB of float64 amplitudes; none is allocated
+    path = tmp_path / "ghz.qc"
+    path.write_text("qubits 20\nh 0\n" + "".join(f"cnot {q - 1} {q}\n" for q in range(1, 20)),
+                    encoding="utf-8")
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "run", str(path), "--shots", "100000", "--seed", "1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and err == ""
+    assert json.loads(out) == []
+    assert peak < 4 << 20
 
 
 def test_run_missing_file_fails_cleanly(capsys):

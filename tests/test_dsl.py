@@ -1,6 +1,7 @@
 import argparse
 import math
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -29,11 +30,14 @@ from qsignal import (
 )
 from qsignal import dsl
 from qsignal.cli import cmd_run
-from qsignal.dsl import MAX_TRIALS, _branches, _evolve
+from qsignal.dsl import MAX_TRIALS, _branches
 from qsignal.statevector import _KERNELS, _born_probabilities, _measure
+
+import dense
 
 BELL_TEXT = "qubits 2\nh 1\ncnot 1 0"
 CIRCUITS = Path(__file__).resolve().parent.parent / "circuits"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 SHIPPED = sorted(CIRCUITS.glob("*.qc"))
 
 
@@ -135,11 +139,11 @@ def test_round_trip_is_structurally_exact():
 
 
 @st.composite
-def circuits(draw):
+def circuits(draw, max_ops=12):
     num_qubits = draw(st.integers(1, 5))
     qubit = st.integers(0, num_qubits - 1)
     ops = []
-    for _ in range(draw(st.integers(0, 12))):
+    for _ in range(draw(st.integers(0, max_ops))):
         kind = draw(st.sampled_from(["h", "x", "cnot", "measure"]))
         if kind == "cnot":
             if num_qubits == 1:
@@ -245,7 +249,7 @@ def test_execute_replays_the_complex_statevector_path(circuit, seed, shots):
 def test_executor_born_probabilities_are_exact(circuit, seed):
     # H, X and CNOT are Clifford: every state is a stabilizer state
     rng = np.random.default_rng(seed)
-    for amps, qubit in _evolve(circuit, 8):
+    for amps, qubit in dense.evolve(circuit, 8):
         p0, p1 = _born_probabilities(amps, qubit)
         assert set(p0.tolist()) <= {0.0, 0.5, 1.0}
         assert (p0 + p1 == 1.0).all()
@@ -253,9 +257,66 @@ def test_executor_born_probabilities_are_exact(circuit, seed):
 
 
 def test_executor_gates_are_clifford():
-    # _born_probabilities rounds executor probabilities to 0, 1/2 or 1,
-    # which is exact only while every kernel is a Clifford gate
+    # _born_probabilities rounds dense probabilities to 0, 1/2 or 1, and
+    # the compiled executor takes every outcome to be a fair coin or
+    # determined: both are exact only while every gate is Clifford
     assert set(_KERNELS) == {"h", "x", "cnot"}
+
+
+EDGE_DRAWS = [0.5, np.nextafter(0.5, 0.0), 0.0]
+
+
+@given(circuits(max_ops=30), st.integers(0, 2**32 - 1), st.integers(1, 40))
+@settings(max_examples=300, deadline=None)
+def test_compiled_executor_matches_the_dense_oracle(circuit, seed, shots):
+    # differential: the compiled map against the dense amplitudes, byte for
+    # byte, with about half the draws on, just below or far below 1/2. A
+    # final measurement of every qubit reads out the whole tableau.
+    circuit = Circuit(circuit.num_qubits, circuit.instructions + tuple(
+        Instruction("measure", (q,)) for q in range(circuit.num_qubits)))
+    rng = np.random.default_rng(seed)
+    m = sum(ins.op == "measure" for ins in circuit.instructions)
+    uniforms = rng.random((m, shots))
+    edges = rng.choice(EDGE_DRAWS, size=uniforms.shape)
+    uniforms = np.where(rng.random(uniforms.shape) < 0.5, edges, uniforms)
+    bits, expected = dsl._run_batch(circuit, uniforms), dense.run_batch(circuit, uniforms)
+    assert bits.dtype == expected.dtype and bits.shape == expected.shape
+    assert bits.tobytes() == expected.tobytes()
+    if m > 12:
+        return  # both enumerations hold all 2**m records
+    records, weights = _branches(circuit)
+    expected_records, expected_weights = dense.branches(circuit)
+    assert records.shape == expected_records.shape
+    assert records.tobytes() == expected_records.tobytes()
+    assert weights.tobytes() == expected_weights.tobytes()
+
+
+def test_executor_rejects_unknown_gates():
+    # a hand-built Circuit skips parse; a two-operand gate is not run as a cnot
+    circuit = Circuit(2, (Instruction("swap", (0, 1)), Instruction("measure", (0,))))
+    with pytest.raises(ValueError, match="unknown gate 'swap'"):
+        execute(circuit, 1, np.random.default_rng(0))
+
+
+def ghz_text(num_qubits):
+    chain = "".join(f"cnot {q - 1} {q}\n" for q in range(1, num_qubits))
+    measures = "".join(f"measure {q}\n" for q in range(num_qubits))
+    return f"qubits {num_qubits}\nh 0\n{chain}{measures}"
+
+
+def test_sample_holds_no_amplitudes():
+    # one 24-qubit state is 128 MiB of float64 amplitudes
+    circuit = parse(ghz_text(24))
+    tracemalloc.start()
+    try:
+        counts = Counter(tuple(row) for bits in dsl._sample(circuit, 1000, np.random.default_rng(0))
+                         for row in bits.T.tolist())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert set(counts) == {(False,) * 24, (True,) * 24}
+    assert sum(counts.values()) == 1000
+    assert peak < 16 << 20
 
 
 @given(circuits(), st.integers(0, 2**32 - 1), st.integers(1, 200))
@@ -263,8 +324,8 @@ def test_executor_gates_are_clifford():
 def test_run_histogram_counts_the_execute_records(tmp_path_factory, circuit, seed, shots):
     path = tmp_path_factory.mktemp("run") / "circuit.qc"
     path.write_text(render(circuit), encoding="utf-8")
-    # batches of at most 64 amplitudes, so the histogram is merged across many
-    with mock.patch.object(dsl, "_BATCH_AMPLITUDES", 64):
+    # batches of at most 8 uniforms, so the histogram is merged across many
+    with mock.patch.object(dsl, "_BATCH_UNIFORMS", 8):
         _, rows, _ = cmd_run(argparse.Namespace(file=str(path), shots=shots, seed=seed))
     expected = Counter(
         "".join(str(m.bit) for m in record.measurement_outcomes)
@@ -311,6 +372,24 @@ def test_branch_weights_sum_to_one(path):
     measures = sum(ins.op == "measure" for ins in circuit.instructions)
     assert sorted(table) == [format(r, f"0{measures}b") for r in range(1 << measures)]
     assert abs(sum(table.values()) - 1.0) < 1e-12
+
+
+def test_mixed12_branches_are_an_affine_support():
+    # 15 measurements, 7 of them random: 128 records of 2**-7 each, found
+    # without the 2 GiB a dense enumeration of 2**15 records would take
+    circuit = load(GOLDEN / "mixed12.qc")
+    tracemalloc.start()
+    try:
+        records, weights = _branches(circuit)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert records.shape == (15, 1 << 15)
+    live = weights > 0
+    assert np.count_nonzero(live) == 128
+    assert set(weights[live].tolist()) == {2.0**-7}
+    assert weights.sum() == 1.0
+    assert peak < 32 << 20
 
 
 def test_bell_branches_are_perfectly_correlated():

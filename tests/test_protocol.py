@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -311,6 +312,31 @@ def test_transmit_is_deterministic_per_seed():
 def test_transmit_rejects_empty_message():
     with pytest.raises(ValueError):
         transmit_message([], 10, np.random.default_rng(0))
+
+
+def test_transmit_rejects_non_integral_bits():
+    # no float is truncated into a bit
+    with pytest.raises(ValueError, match=r"^message bit 0 must be 0 or 1, got 0\.5$"):
+        transmit_message([0.5, 1.9], 10, np.random.default_rng(0))
+    with pytest.raises(ValueError, match=r"^message bit 1 must be 0 or 1, got '1'$"):
+        transmit_message([1, "1"], 10, np.random.default_rng(0))
+
+
+def test_transmit_checks_the_length_before_reading_bits():
+    # a sized message is rejected by its length, an unsized one after one
+    # bit past the cap, neither by converting ten million elements
+    for bits, got in ((range(10**7), "10000000"), (iter(range(10**7)), "more than 65536")):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"message must have between 1 and 65536 bits, got {got}"):
+                transmit_message(bits, 10, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+    # an unsized message within the cap is sent as a list would be
+    assert (transmit_message(iter([1, 0, 1]), 10, np.random.default_rng(14))
+            == transmit_message([1, 0, 1], 10, np.random.default_rng(14)))
 
 
 def test_transmit_rejects_non_bits():

@@ -19,8 +19,10 @@ from qsignal import (
     not_gate,
     outcome_distribution,
 )
-from qsignal.dsl import _evolve, parse
+from qsignal.dsl import parse
 from qsignal.statevector import MIN_BRANCH_PROBABILITY, _measure
+
+import dense
 
 R = 1.0 / math.sqrt(2.0)
 
@@ -363,9 +365,10 @@ def test_batched_measure_matches_measure_qubit():
 
 
 def test_dtype_boundary_real_executor_complex_statevector():
-    # the executor runs float64 amplitudes with the amplitude axis first
+    # the dense executor (the reference in tests/dense.py) runs float64
+    # amplitudes with the amplitude axis first
     circuit = parse("qubits 3\nh 2\ncnot 2 0\nmeasure 0\nx 1\nmeasure 1")
-    for amps, _ in _evolve(circuit, 5):
+    for amps, _ in dense.evolve(circuit, 5):
         assert amps.dtype == np.float64 and amps.shape == (8, 5)
         assert amps.flags.c_contiguous
     # the public operations keep complex128 amplitudes, with the values
