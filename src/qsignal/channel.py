@@ -6,7 +6,10 @@ record of the circuit, for the collapse model and for a fully unitary
 ancilla variant of the sender's measurement, and the asymmetric binary
 (Z) channel model with its mutual information and closed-form capacity.
 Statistical side: a chunked Monte Carlo engine that samples the circuit,
-many trials at once.
+many trials at once. An OR-decoded block reads only the receiver's bits,
+so a block chunk computes only the uniforms they read and skips the
+sender's; each skipped uniform keeps its stream position (`_skip`), so
+counts are those of drawing every uniform.
 
 Channel orientation: sending 0 is noiseless (the receiver can never
 decode 1), sending 1 is missed when every pair in the block comes up 0,
@@ -21,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsl import Circuit, Instruction, _Outcome, _branches, _compile, _draw
-from .protocol import MAX_TRIALS, AliceAction, _check_pairs, _protocol_circuit  # noqa: F401
+from .dsl import Circuit, Instruction, _Outcome, _branches, _draw
+from .protocol import (  # noqa: F401
+    MAX_TRIALS, AliceAction, _check_pairs, _compiled_circuit, _protocol_circuit)
 
 ANCILLA_QUBIT = 2
 
@@ -219,15 +223,49 @@ def channel_capacity(channel: ZChannel) -> tuple[float, float]:
 # --- vectorized Monte Carlo engine ------------------------------------------
 
 
-def _simulate(outcomes: tuple[_Outcome, ...], count: int, rng: np.random.Generator) -> np.ndarray:
-    """Outcome bits of ``count`` independent protocol pairs, one row per
-    measurement (the sender's, if she measures, then the receiver's).
+def _skip(stream: np.random.Generator, count: int) -> None:
+    """Move ``stream`` past ``count`` uniforms as if it had drawn them.
 
-    ``outcomes`` is the protocol circuit compiled by `dsl._compile`, once
-    per Monte Carlo call. Each measurement draws ``count`` uniforms from
-    ``rng`` in turn.
+    PCG64 and PCG64DXSM make one double from one 64-bit output, so
+    `advance` jumps exactly ``count`` draws in O(log count) steps. Other
+    generators draw and discard: Philox advances in blocks of four
+    outputs, and MT19937 makes one double from two 32-bit words.
     """
-    return _draw(outcomes, rng.random((len(outcomes), count)))
+    if type(stream.bit_generator) in (np.random.PCG64, np.random.PCG64DXSM):
+        stream.bit_generator.advance(count)
+    else:
+        stream.random(count)
+
+
+def _decoded_ones(outcomes: tuple[_Outcome, ...], n_pairs: int, size: int,
+                  stream: np.random.Generator) -> int:
+    """How many of ``size`` blocks of ``n_pairs`` pairs decode 1.
+
+    ``outcomes`` is the compiled protocol circuit (`_compiled_circuit`);
+    the receiver's bit is its last outcome. Pair p owns rows ``p * m`` to
+    ``p * m + m - 1`` of ``size`` uniforms each, as
+    ``stream.random((n_pairs * m, size))`` lays them out for its ``m``
+    measurements, but only the rows the receiver's bit reads are
+    computed: its own if it is a fair coin, else its sources (none for
+    send-0). `_skip` passes the others, so every row keeps its position.
+    """
+    m = len(outcomes)
+    constant, sources = (0, (m - 1,)) if outcomes[-1] is None else outcomes[-1]
+    u = np.empty(size)
+    coin = np.empty(size, dtype=bool)
+    bit = np.empty(size, dtype=bool)
+    any_one = np.zeros(size, dtype=bool)
+    drawn = 0
+    for p in range(n_pairs):
+        bit.fill(constant)
+        for row in (p * m + k for k in sources):
+            if row > drawn:
+                _skip(stream, (row - drawn) * size)
+            stream.random(out=u)
+            drawn = row + 1
+            bit ^= np.greater_equal(u, 0.5, out=coin)
+        any_one |= bit
+    return int(np.count_nonzero(any_one))
 
 
 def _chunk_sizes(trials: int) -> list[int]:
@@ -286,15 +324,9 @@ def monte_carlo_block_error(
     """
     action = AliceAction(action)
     _check_pairs(n_pairs, blocks)
-    outcomes = _compile(_protocol_circuit(action))
-
-    def chunk_decoded_ones(size: int, stream: np.random.Generator) -> int:
-        any_one = np.zeros(size, dtype=bool)
-        for _ in range(n_pairs):
-            any_one |= _simulate(outcomes, size, stream)[-1]
-        return int(np.count_nonzero(any_one))
-
-    count = sum(_map_chunks(chunk_decoded_ones, blocks, rng, workers))
+    outcomes = _compiled_circuit(action)
+    count = sum(_map_chunks(
+        lambda size, stream: _decoded_ones(outcomes, n_pairs, size, stream), blocks, rng, workers))
     return BlockErrorEstimate(
         bit=action.bit, n_pairs=n_pairs, blocks=blocks, count_decoded_one=count
     )
@@ -303,10 +335,11 @@ def monte_carlo_block_error(
 def _joint_counts(trials: int, rng: np.random.Generator, workers: int = 1) -> np.ndarray:
     """2x2 table of (sender outcome, receiver outcome) counts for MEASURE trials."""
     _check_pairs(1, trials)
-    outcomes = _compile(_protocol_circuit(AliceAction.MEASURE))
+    outcomes = _compiled_circuit(AliceAction.MEASURE)
 
     def chunk_table(size: int, stream: np.random.Generator) -> np.ndarray:
-        alice, bob = _simulate(outcomes, size, stream)
+        # both rows are read, so both are drawn
+        alice, bob = _draw(outcomes, stream.random((len(outcomes), size)))
         return np.bincount(2 * alice + bob, minlength=4).reshape(2, 2)
 
     return sum(_map_chunks(chunk_table, trials, rng, workers))

@@ -29,7 +29,7 @@ from .channel import (
     monte_carlo_block_error,
     mutual_information,
 )
-from .dsl import ParseError, _sample, load
+from .dsl import ParseError, _compile, _sample, load
 from .protocol import transmit_message
 
 FORMAT_ENV_VAR = "QSIGNAL_FORMAT"
@@ -129,7 +129,7 @@ _RUN_FIELDS = ["experiment", "file", "shots", "seed", "outcome", "count", "frequ
 
 def cmd_run(args) -> tuple[list[str], list[dict], bool]:
     histogram = Counter()
-    for bits in _sample(load(args.file), args.shots, np.random.default_rng(args.seed)):
+    for bits in _sample(_compile(load(args.file)), args.shots, np.random.default_rng(args.seed)):
         outcomes, counts = np.unique(bits.T, axis=0, return_counts=True)
         for row, count in zip(outcomes.tolist(), counts.tolist()):
             histogram["".join("01"[b] for b in row)] += count

@@ -265,17 +265,16 @@ def _branches(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
     return records, np.where(live, 0.5 ** outcomes.count(None), 0.0)
 
 
-def _sample(circuit: Circuit, shots: int, rng: np.random.Generator):
-    """Yield `_run_batch` bits of ``shots`` runs, batch by batch, with the
-    uniforms laid out as in ``rng.random((shots, measurements)).T``.
+def _sample(outcomes: tuple[_Outcome, ...], shots: int, rng: np.random.Generator):
+    """Yield `_draw` bits of ``shots`` runs of a compiled circuit (`_compile`),
+    batch by batch, with the uniforms laid out as in
+    ``rng.random((shots, measurements)).T``.
 
-    The circuit is compiled once. A batch draws at most `_BATCH_UNIFORMS`
-    uniforms; draws are sequential, so the stream does not depend on the
-    batch size.
+    A batch draws at most `_BATCH_UNIFORMS` uniforms; draws are
+    sequential, so the stream does not depend on the batch size.
     """
     if not 1 <= shots <= MAX_TRIALS:
         raise ValueError(f"shots must be between 1 and {MAX_TRIALS}, got {shots}")
-    outcomes = _compile(circuit)
     batch = max(1, _BATCH_UNIFORMS // max(1, len(outcomes)))
     for start in range(0, shots, batch):
         yield _draw(outcomes, rng.random((min(batch, shots - start), len(outcomes))).T)
@@ -291,7 +290,7 @@ def execute(circuit: Circuit, shots: int, rng: np.random.Generator) -> list[RunR
     reproduces every record bit for bit.
     """
     measures = [(ins.line, ins.args[0]) for ins in circuit.instructions if ins.op == "measure"]
-    rows = (row for bits in _sample(circuit, shots, rng) for row in bits.T.tolist())
+    rows = (row for bits in _sample(_compile(circuit), shots, rng) for row in bits.T.tolist())
     return [RunRecord(shot, tuple(MeasurementRecord(line, qubit, int(bit))
                                   for (line, qubit), bit in zip(measures, row)))
             for shot, row in enumerate(rows)]

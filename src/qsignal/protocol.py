@@ -20,12 +20,12 @@ import enum
 import operator
 from collections.abc import Sized
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from itertools import islice
 
 import numpy as np
 
-from .dsl import MAX_TRIALS, Circuit, Instruction, _sample
+from .dsl import MAX_TRIALS, Circuit, Instruction, _compile, _Outcome, _sample
 from .statevector import (
     RandomSource,
     StateVector,
@@ -107,6 +107,15 @@ def _protocol_circuit(action: AliceAction) -> Circuit:
     return Circuit(2, (*prepare, *sender, *prepare[::-1], Instruction("measure", (BOB_QUBIT,))))
 
 
+@cache
+def _compiled_circuit(action: AliceAction) -> tuple[_Outcome, ...]:
+    """`_protocol_circuit` compiled by `dsl._compile`, once per action and process.
+
+    An int key equals its action, so it is converted before compiling.
+    """
+    return _compile(_protocol_circuit(AliceAction(action)))
+
+
 def _check_pairs(n_pairs: int, blocks: int = 1) -> None:
     """Check ``blocks`` blocks of ``n_pairs`` pairs against both run-size caps."""
     if not 1 <= n_pairs <= MAX_PAIRS:
@@ -176,8 +185,7 @@ def run_block(
     sender's before the receiver's, as ``run_pair`` would.
     """
     _check_pairs(n_pairs)
-    action = AliceAction(action)
-    bits = np.hstack([*_sample(_protocol_circuit(action), n_pairs, rng)])
+    bits = np.hstack([*_sample(_compiled_circuit(AliceAction(action)), n_pairs, rng)])
     outcomes = tuple(bits[-1].astype(int).tolist())
     return BlockResult(n_pairs, outcomes, int(any(outcomes)))
 

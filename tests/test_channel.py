@@ -215,6 +215,72 @@ def test_block_error_worker_independence():
     assert a == b
 
 
+BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64, np.random.MT19937]
+
+
+def compiled(action):
+    return dsl._compile(protocol._protocol_circuit(AliceAction(action)))
+
+
+def drawn_decoded_ones(action, n_pairs, blocks, rng):
+    """Reference block count: each pair of a chunk draws all its
+    ``(measurements, size)`` uniforms, the sender's included."""
+    outcomes = compiled(action)
+    sizes = channel._chunk_sizes(blocks)
+    count = 0
+    for size, stream in zip(sizes, rng.spawn(len(sizes))):
+        any_one = np.zeros(size, dtype=bool)
+        for _ in range(n_pairs):
+            any_one |= dsl._draw(outcomes, stream.random((len(outcomes), size)))[-1]
+        count += int(np.count_nonzero(any_one))
+    return count
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda bg: bg.__name__)
+@pytest.mark.parametrize("bit", [0, 1])
+def test_skipped_uniforms_keep_their_stream_positions(bit_generator, bit):
+    # rows the receiver does not read are jumped or discarded; the rows it
+    # reads must still sit where drawing every row puts them
+    for n_pairs in range(1, 13):
+        blocks = CHUNK_TRIALS + 1000 * n_pairs + 1  # a full chunk and a partial one
+        expected = drawn_decoded_ones(bit, n_pairs, blocks, np.random.Generator(bit_generator(n_pairs)))
+        for workers in (1, 2):
+            rng = np.random.Generator(bit_generator(n_pairs))
+            assert monte_carlo_block_error(bit, n_pairs, blocks, rng, workers).count_decoded_one == expected
+            if n_pairs == 1:
+                rng = np.random.Generator(bit_generator(n_pairs))
+                assert monte_carlo_distribution(bit, blocks, rng, workers).count_bob_1 == expected
+
+
+class CountingStream:
+    """A PCG64 Generator stand-in that keeps every array of uniforms it computes."""
+
+    def __init__(self, seed):
+        self._stream = np.random.default_rng(seed)
+        self.bit_generator = self._stream.bit_generator
+        self.computed = []
+
+    def random(self, size=None, out=None):
+        values = self._stream.random(size, out=out)
+        self.computed.append(values.copy())
+        return values
+
+
+@pytest.mark.parametrize("n_pairs", [1, 10])
+def test_block_chunks_compute_only_the_receivers_uniforms(n_pairs):
+    size = 1000
+    send0 = CountingStream(15)
+    assert channel._decoded_ones(compiled(0), n_pairs, size, send0) == 0
+    assert send0.computed == []
+    send1 = CountingStream(15)
+    count = channel._decoded_ones(compiled(1), n_pairs, size, send1)
+    # pair p's sender reads row 2p of this layout, its receiver row 2p + 1
+    rows = np.random.default_rng(15).random((2 * n_pairs, size))
+    assert sum(values.size for values in send1.computed) == n_pairs * size
+    np.testing.assert_array_equal(np.concatenate(send1.computed), rows[1::2].ravel())
+    assert count == np.count_nonzero((rows[1::2] >= 0.5).any(axis=0))
+
+
 def test_joint_counts_factorize():
     trials = 100_000
     table = _joint_counts(trials, np.random.default_rng(9))

@@ -309,8 +309,8 @@ def test_sample_holds_no_amplitudes():
     circuit = parse(ghz_text(24))
     tracemalloc.start()
     try:
-        counts = Counter(tuple(row) for bits in dsl._sample(circuit, 1000, np.random.default_rng(0))
-                         for row in bits.T.tolist())
+        samples = dsl._sample(dsl._compile(circuit), 1000, np.random.default_rng(0))
+        counts = Counter(tuple(row) for bits in samples for row in bits.T.tolist())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

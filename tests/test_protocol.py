@@ -26,6 +26,7 @@ from qsignal import (
     run_pair,
     transmit_message,
 )
+from qsignal import dsl, protocol
 from qsignal.channel import _ancilla_circuit
 from qsignal.protocol import MAX_PAIRS, _protocol_circuit
 
@@ -300,6 +301,23 @@ def test_transmit_per_bit_error_rate_matches_binomial():
     expected = 0.5**4
     stderr = math.sqrt(expected * (1.0 - expected) / blocks)
     assert abs(misses / blocks - expected) < 3 * stderr
+
+
+def test_transmit_compiles_each_circuit_at_most_once(monkeypatch):
+    message = [int(i % 3 == 0) for i in range(1000)]
+    expected = transmit_message(message, 2, np.random.default_rng(14))
+    calls = []
+    compile_circuit = dsl._compile
+
+    def counting(circuit):
+        calls.append(circuit)
+        return compile_circuit(circuit)
+
+    monkeypatch.setattr(dsl, "_compile", counting)
+    monkeypatch.setattr(protocol, "_compile", counting, raising=False)
+    assert transmit_message(message, 2, np.random.default_rng(14)) == expected
+    # the two protocol circuits, or none if an earlier call compiled them
+    assert len(calls) <= 2
 
 
 def test_transmit_is_deterministic_per_seed():
