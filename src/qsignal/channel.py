@@ -1,9 +1,9 @@
 """Analysis of the classical channel the protocol induces.
 
-Both sides run the protocol circuit through the one circuit executor.
-Exact side: the receiver's distribution summed over every measurement
-record of the circuit, for the collapse model and for a fully unitary
-ancilla variant of the sender's measurement, and the asymmetric binary
+Both sides read the protocol circuit's compiled map (`dsl._compile`).
+Exact side: the receiver's distribution read off the map's last entry,
+for the collapse model and for a fully unitary ancilla variant of the
+sender's measurement, and the asymmetric binary
 (Z) channel model with its mutual information and closed-form capacity.
 Statistical side: a chunked Monte Carlo engine that samples the circuit,
 many trials at once. An OR-decoded block reads only the receiver's bits,
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsl import Circuit, Instruction, _Outcome, _branches, _draw
+from .dsl import Circuit, Instruction, _Outcome, _compile, _draw
 from .protocol import (  # noqa: F401
     MAX_TRIALS, AliceAction, _check_pairs, _compiled_circuit, _protocol_circuit)
 
@@ -125,11 +125,18 @@ class BlockErrorEstimate:
 # --- exact analysis ---------------------------------------------------------
 
 
-def _receiver_distribution(circuit: Circuit) -> OutcomeDistribution:
-    """Exact distribution of the circuit's last measurement, the receiver's."""
-    records, weights = _branches(circuit)
-    bob = records[-1]
-    return OutcomeDistribution(float(weights[~bob].sum()), float(weights[bob].sum()))
+def _receiver_bit(outcomes: tuple[_Outcome, ...]) -> tuple[int, tuple[int, ...]]:
+    """The receiver's (last) compiled outcome as ``(constant, sources)``;
+    a fair coin is its own one source."""
+    return (0, (len(outcomes) - 1,)) if outcomes[-1] is None else outcomes[-1]
+
+
+def _receiver_distribution(outcomes: tuple[_Outcome, ...]) -> OutcomeDistribution:
+    """Exact distribution of the receiver's bit of a compiled circuit: its
+    constant, or a fair coin if it XORs in at least one independent coin."""
+    constant, sources = _receiver_bit(outcomes)
+    p1 = 0.5 if sources else float(constant)
+    return OutcomeDistribution(1.0 - p1, p1)
 
 
 def _ancilla_circuit(action: AliceAction) -> Circuit:
@@ -141,20 +148,23 @@ def _ancilla_circuit(action: AliceAction) -> Circuit:
 
 
 def exact_distribution(action: AliceAction | int) -> OutcomeDistribution:
-    """Receiver outcome distribution by exact branch enumeration.
+    """Receiver outcome distribution, read off the compiled protocol circuit.
 
-    Enumerates every measurement record of the protocol circuit with its
-    Born weight and sums the weights by the receiver's bit. No sampling
-    is involved, so the impossible branch comes out exactly zero.
+    The receiver's bit is a fixed constant if the sender skips and a fair
+    coin if she measures. No sampling is involved, so the impossible
+    outcome comes out exactly zero.
     """
-    return _receiver_distribution(_protocol_circuit(AliceAction(action)))
+    return _receiver_distribution(_compiled_circuit(AliceAction(action)))
 
 
 def block_error_probability(n_pairs: int) -> float:
-    """Probability that a sent 1 decodes as 0: all pairs silent, 0.5**n."""
+    """Probability that a sent 1 decodes as 0: all pairs silent, 0.5**n.
+
+    Exact at any int count, 0.0 past the smallest float; a non-integral
+    count raises TypeError."""
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
-    return 0.5**n_pairs
+    return math.ldexp(1.0, -n_pairs)
 
 
 def ancilla_model_distribution(action: AliceAction | int) -> OutcomeDistribution:
@@ -163,11 +173,11 @@ def ancilla_model_distribution(action: AliceAction | int) -> OutcomeDistribution
     Instead of collapsing, the sender's qubit is CNOT-copied onto a
     fresh ancilla (the minimal unitary record of a measurement); the
     restoring step then acts on the original pair and the receiver's
-    marginal is read off the three-qubit state. Agrees with
+    marginal is read off the compiled three-qubit circuit. Agrees with
     exact_distribution for both actions: the receiver cannot tell the
     two measurement models apart.
     """
-    return _receiver_distribution(_ancilla_circuit(AliceAction(action)))
+    return _receiver_distribution(_compile(_ancilla_circuit(AliceAction(action))))
 
 
 # --- information measures ---------------------------------------------------
@@ -250,7 +260,7 @@ def _decoded_ones(outcomes: tuple[_Outcome, ...], n_pairs: int, size: int,
     send-0). `_skip` passes the others, so every row keeps its position.
     """
     m = len(outcomes)
-    constant, sources = (0, (m - 1,)) if outcomes[-1] is None else outcomes[-1]
+    constant, sources = _receiver_bit(outcomes)
     u = np.empty(size)
     coin = np.empty(size, dtype=bool)
     bit = np.empty(size, dtype=bool)

@@ -1,7 +1,8 @@
 """Line-oriented circuit language for small statevector experiments.
 
-Grammar (exact; one statement per line, tokens separated by one or more
-spaces, case-sensitive mnemonics, base-10 non-negative integers):
+Grammar (exact; one statement per line, lines ending at LF, CRLF or CR,
+tokens separated by one or more spaces, case-sensitive mnemonics,
+base-10 non-negative integers):
 
     file    := line*
     line    := comment | blank | stmt
@@ -72,6 +73,9 @@ class RunRecord:
 
 _ARITY = {"qubits": 1, "h": 1, "x": 1, "cnot": 2, "measure": 1}
 _INT_RE = re.compile(r"[0-9]+\Z")
+# Lines end where open()'s universal newlines and `grep -n` end them, not
+# at the other breaks str.splitlines knows (form feed, U+2028, ...).
+_LINE_BREAK = re.compile(r"\r\n?|\n")
 # Longer operands are rejected before int(), whose digit limit
 # (sys.set_int_max_str_digits) is never set below 640.
 _MAX_DIGITS = 640
@@ -87,7 +91,7 @@ def parse(text: str) -> Circuit:
     """Parse circuit text, validating structure and qubit indices."""
     num_qubits: int | None = None
     instructions: list[Instruction] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_LINE_BREAK.split(text), start=1):
         if not raw.strip():
             continue
         if raw.lstrip(" ").startswith("#"):
@@ -221,7 +225,10 @@ def _compile(circuit: Circuit) -> tuple[_Outcome, ...]:
 def _draw(outcomes: tuple[_Outcome, ...], uniforms: np.ndarray) -> np.ndarray:
     """Outcome bits of a compiled circuit, one column per shot: a random
     outcome is 1 iff its uniform is at least 1/2, a determined one the
-    XOR of its sources and constant."""
+    XOR of its sources and constant. Row k of ``uniforms`` holds the
+    draws for the k-th ``measure``. Every Born probability is 0, 1/2 or
+    1, so this is the dense rule (outcome 0 iff the draw is below p0)
+    bit for bit."""
     bits = np.empty(uniforms.shape, dtype=bool)
     for k, outcome in enumerate(outcomes):
         if outcome is None:
@@ -232,37 +239,6 @@ def _draw(outcomes: tuple[_Outcome, ...], uniforms: np.ndarray) -> np.ndarray:
         for j in sources:
             bits[k] ^= bits[j]
     return bits
-
-
-def _run_batch(circuit: Circuit, uniforms: np.ndarray) -> np.ndarray:
-    """Run ``uniforms.shape[1]`` shots of ``circuit``, each from the ground state.
-
-    Row k of ``uniforms`` holds the draws for the k-th ``measure``, one
-    per shot. Returns the outcome bits as a bool array of the same shape.
-    The circuit runs through its compiled map (`_compile`), with no
-    amplitudes. Every Born probability is 0, 1/2 or 1, so this is the
-    dense rule (outcome 0 iff the draw is below p0, never a branch below
-    MIN_BRANCH_PROBABILITY) bit for bit.
-    """
-    return _draw(_compile(circuit), uniforms)
-
-
-def _branches(circuit: Circuit) -> tuple[np.ndarray, np.ndarray]:
-    """All ``2**m`` records of the ``m`` measurements, as ``_run_batch``
-    lays out bits (one column each, in lexicographic order), and the
-    exact probability of each. A record that the compiled map reaches
-    weighs ``2**-r``, r being its number of random outcomes; any other
-    weighs 0.
-    """
-    outcomes = _compile(circuit)
-    m = len(outcomes)
-    records = ((np.arange(1 << m) >> np.arange(m - 1, -1, -1)[:, None]) & 1).astype(bool)
-    live = np.ones(1 << m, dtype=bool)
-    for k, outcome in enumerate(outcomes):
-        if outcome is not None:
-            constant, sources = outcome
-            live &= records[k] == np.bitwise_xor.reduce(records[list(sources)], axis=0, initial=constant)
-    return records, np.where(live, 0.5 ** outcomes.count(None), 0.0)
 
 
 def _sample(outcomes: tuple[_Outcome, ...], shots: int, rng: np.random.Generator):
@@ -283,11 +259,11 @@ def _sample(outcomes: tuple[_Outcome, ...], shots: int, rng: np.random.Generator
 def execute(circuit: Circuit, shots: int, rng: np.random.Generator) -> list[RunRecord]:
     """Run the circuit ``shots`` times, each from the ground state.
 
-    Shots run in batches through the circuit's compiled map (see
-    `_run_batch`). Each measurement consumes one uniform; the uniforms
-    are drawn shot by shot, in program order within a shot, as
-    ``rng.random((shots, measurements))`` lays them out, so a fixed seed
-    reproduces every record bit for bit.
+    Shots run in batches through the circuit's compiled map (`_compile`,
+    `_draw`), with no amplitudes. Each measurement consumes one uniform;
+    the uniforms are drawn shot by shot, in program order within a shot,
+    as ``rng.random((shots, measurements))`` lays them out, so a fixed
+    seed reproduces every record bit for bit.
     """
     measures = [(ins.line, ins.args[0]) for ins in circuit.instructions if ins.op == "measure"]
     rows = (row for bits in _sample(_compile(circuit), shots, rng) for row in bits.T.tolist())

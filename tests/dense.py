@@ -2,8 +2,10 @@
 
 Every shot holds its amplitudes: one real float64 ``(2**n, batch)`` array,
 amplitude axis first, run through the `statevector` kernels and collapsed
-by the batched `_measure`. Tests compare `dsl._run_batch` and
-`dsl._branches` against `run_batch` and `branches` here.
+by the batched `_measure`. Tests compare the compiled map's draws
+(`dsl._draw`) with `run_batch` here, and its exact receiver marginal
+(`channel._receiver_distribution`) and sampled histograms with the
+weights that `branches` enumerates.
 """
 
 import numpy as np

@@ -67,6 +67,14 @@ def test_block_error_probability_twenty_pairs():
     assert block_error_probability(20) == 0.5**20
 
 
+def test_block_error_probability_is_exact_at_any_count():
+    assert all(block_error_probability(n) == 0.5**n for n in range(1, 3000))
+    assert block_error_probability(1074) == 5e-324
+    assert block_error_probability(1075) == block_error_probability(10**400) == 0.0
+    with pytest.raises(TypeError):
+        block_error_probability(2.5)
+
+
 @pytest.mark.parametrize("n", [0, -1])
 def test_block_error_probability_rejects_bad_counts(n):
     with pytest.raises(ValueError):

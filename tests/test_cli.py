@@ -136,6 +136,13 @@ def test_channel_capacity(capsys):
     record = json.loads(out)
     assert 0.994 < record["capacity_bits"] < 1.0
     assert abs(record["argmax_prior_p1"] - 0.4985487) < 1e-4
+    # far past the smallest float the miss probability is 0.0, not an overflow
+    code, out, err = run_cli(capsys, "channel", "--n", "1" + "0" * 400)
+    assert code == 0 and err == ""
+    record = json.loads(out)
+    assert record["n_pairs"] == 10**400
+    assert record["p_missed_one"] == 0.0
+    assert record["capacity_bits"] == 1.0
 
 
 def test_channel_rejects_zero_pairs(capsys):

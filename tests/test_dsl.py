@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import math
 import sys
 import tracemalloc
@@ -28,10 +29,11 @@ from qsignal import (
     parse,
     render,
 )
-from qsignal import dsl
+from qsignal import OutcomeDistribution, dsl
+from qsignal.channel import _receiver_distribution
 from qsignal.cli import cmd_run
-from qsignal.dsl import MAX_TRIALS, _branches
-from qsignal.statevector import _KERNELS, _born_probabilities, _measure
+from qsignal.dsl import MAX_TRIALS
+from qsignal.statevector import _GATE_ARITY, _KERNELS, _born_probabilities, _measure
 
 import dense
 
@@ -89,6 +91,10 @@ def test_parse_tolerates_extra_spaces_between_tokens():
         ("qubits 2\nmeasure 0 # trailing", "'measure' takes 1 operand(s), got 3, line 2"),
         ("qubits 2\nh 1" + "0" * 5000, "integer of 5001 digits is too long, line 2"),
         ("qubits " + "0" * 5000 + "2", "integer of 5001 digits is too long, line 1"),
+        # lines end only at \n, \r\n and \r, as open() and `grep -n` count them
+        *[(f"qubits 2{end}# a{sep}b{end}measure 5",
+           "qubit index 5 out of range for 2 qubit(s), line 3")
+          for sep in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029" for end in ("\n", "\r\n", "\r")],
     ],
 )
 def test_parse_diagnostics(text, message):
@@ -259,8 +265,20 @@ def test_executor_born_probabilities_are_exact(circuit, seed):
 def test_executor_gates_are_clifford():
     # _born_probabilities rounds dense probabilities to 0, 1/2 or 1, and
     # the compiled executor takes every outcome to be a fair coin or
-    # determined: both are exact only while every gate is Clifford
-    assert set(_KERNELS) == {"h", "x", "cnot"}
+    # determined: both are exact only while every gate is Clifford. The
+    # parser, the dense kernels, GateKind and _compile share one gate set.
+    gates = {"h": 1, "x": 1, "cnot": 2}
+    assert {op: n for op, n in dsl._ARITY.items() if op not in ("qubits", "measure")} == gates
+    assert {op: len(inspect.signature(k).parameters) - 1 for op, k in _KERNELS.items()} == gates
+    assert {kind.value: _GATE_ARITY[kind] for kind in GateKind} == gates
+    compiled = set()
+    for op in [*gates, "swap", "cz", "z", "y", "s", "t"]:
+        try:
+            dsl._compile(Circuit(2, (Instruction(op, tuple(range(gates.get(op, 2)))),)))
+        except ValueError:
+            continue
+        compiled.add(op)
+    assert compiled == set(gates)
 
 
 EDGE_DRAWS = [0.5, np.nextafter(0.5, 0.0), 0.0]
@@ -279,16 +297,17 @@ def test_compiled_executor_matches_the_dense_oracle(circuit, seed, shots):
     uniforms = rng.random((m, shots))
     edges = rng.choice(EDGE_DRAWS, size=uniforms.shape)
     uniforms = np.where(rng.random(uniforms.shape) < 0.5, edges, uniforms)
-    bits, expected = dsl._run_batch(circuit, uniforms), dense.run_batch(circuit, uniforms)
+    outcomes = dsl._compile(circuit)
+    bits, expected = dsl._draw(outcomes, uniforms), dense.run_batch(circuit, uniforms)
     assert bits.dtype == expected.dtype and bits.shape == expected.shape
     assert bits.tobytes() == expected.tobytes()
     if m > 12:
-        return  # both enumerations hold all 2**m records
-    records, weights = _branches(circuit)
-    expected_records, expected_weights = dense.branches(circuit)
-    assert records.shape == expected_records.shape
-    assert records.tobytes() == expected_records.tobytes()
-    assert weights.tobytes() == expected_weights.tobytes()
+        return  # the dense enumeration holds all 2**m records
+    # the last bit's exact marginal: sums of powers of two on both sides
+    records, weights = dense.branches(circuit)
+    last = records[-1]
+    assert _receiver_distribution(outcomes) == OutcomeDistribution(
+        float(weights[~last].sum()), float(weights[last].sum()))
 
 
 def test_executor_rejects_unknown_gates():
@@ -355,12 +374,29 @@ def test_execute_full_protocol_statistics():
     assert sum(record.measurement_outcomes[-1].bit for record in records) == 0
 
 
-# --- exact branch enumeration ------------------------------------------------------
+@given(circuits(), st.integers(0, 4), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_execute_last_bit_matches_the_exact_marginal(circuit, qubit, seed):
+    # differential: the sampled frequency of the last bit against the
+    # compiled map's exact marginal, at 5 sigma, and equal where it is certain
+    circuit = Circuit(circuit.num_qubits, circuit.instructions + (
+        Instruction("measure", (qubit % circuit.num_qubits,)),))
+    shots = 1000
+    ones = sum(record.measurement_outcomes[-1].bit
+               for record in execute(circuit, shots, np.random.default_rng(seed)))
+    p = _receiver_distribution(dsl._compile(circuit)).p_bob_1
+    if p in (0.0, 1.0):
+        assert ones == p * shots
+    else:
+        assert abs(ones / shots - p) <= 5 * math.sqrt(p * (1.0 - p) / shots)
+
+
+# --- exact branch enumeration (the dense oracle) -----------------------------------
 
 
 def branch_table(circuit):
     """Exact weight of each measurement record, keyed by its bit string."""
-    records, weights = _branches(circuit)
+    records, weights = dense.branches(circuit)
     return {"".join(str(int(b)) for b in column): float(w)
             for column, w in zip(records.T, weights)}
 
@@ -375,21 +411,25 @@ def test_branch_weights_sum_to_one(path):
 
 
 def test_mixed12_branches_are_an_affine_support():
-    # 15 measurements, 7 of them random: 128 records of 2**-7 each, found
-    # without the 2 GiB a dense enumeration of 2**15 records would take
+    # 15 measurements, 7 of them random: the 2**7 coin settings give 128
+    # distinct records, found without the 2 GiB a dense enumeration of
+    # 2**15 records would take; every sampled record is one of them
     circuit = load(GOLDEN / "mixed12.qc")
     tracemalloc.start()
     try:
-        records, weights = _branches(circuit)
+        outcomes = dsl._compile(circuit)
+        coins = [k for k, outcome in enumerate(outcomes) if outcome is None]
+        uniforms = np.zeros((len(outcomes), 1 << len(coins)))
+        uniforms[coins] = np.arange(1 << len(coins)) >> np.arange(len(coins))[:, None] & 1
+        support = {tuple(column) for column in dsl._draw(outcomes, uniforms).T.tolist()}
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert records.shape == (15, 1 << 15)
-    live = weights > 0
-    assert np.count_nonzero(live) == 128
-    assert set(weights[live].tolist()) == {2.0**-7}
-    assert weights.sum() == 1.0
+    assert len(outcomes) == 15 and len(coins) == 7
+    assert len(support) == 128
     assert peak < 32 << 20
+    for record in execute(circuit, 500, np.random.default_rng(13)):
+        assert tuple(bool(m.bit) for m in record.measurement_outcomes) in support
 
 
 def test_bell_branches_are_perfectly_correlated():
