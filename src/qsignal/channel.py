@@ -19,12 +19,13 @@ which happens with probability 0.5**n_pairs.
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dsl import Circuit, Instruction, _Outcome, _compile, _draw
+from .dsl import Circuit, Instruction, _Outcome, _compile
 from .protocol import (  # noqa: F401
     MAX_TRIALS, AliceAction, _check_pairs, _compiled_circuit, _protocol_circuit)
 
@@ -84,7 +85,10 @@ class ZChannel:
     n_pairs: int
 
     def __post_init__(self):
-        if self.n_pairs < 1:
+        # operator.index rejects floats, but not bools, which are ints too
+        if isinstance(self.n_pairs, bool):
+            raise TypeError(f"n_pairs must be an int, got {self.n_pairs!r}")
+        if operator.index(self.n_pairs) < 1:
             raise ValueError(f"n_pairs must be >= 1, got {self.n_pairs}")
 
     @property
@@ -340,16 +344,3 @@ def monte_carlo_block_error(
     return BlockErrorEstimate(
         bit=action.bit, n_pairs=n_pairs, blocks=blocks, count_decoded_one=count
     )
-
-
-def _joint_counts(trials: int, rng: np.random.Generator, workers: int = 1) -> np.ndarray:
-    """2x2 table of (sender outcome, receiver outcome) counts for MEASURE trials."""
-    _check_pairs(1, trials)
-    outcomes = _compiled_circuit(AliceAction.MEASURE)
-
-    def chunk_table(size: int, stream: np.random.Generator) -> np.ndarray:
-        # both rows are read, so both are drawn
-        alice, bob = _draw(outcomes, stream.random((len(outcomes), size)))
-        return np.bincount(2 * alice + bob, minlength=4).reshape(2, 2)
-
-    return sum(_map_chunks(chunk_table, trials, rng, workers))

@@ -5,6 +5,10 @@ Statistical commands require an explicit --seed; identical invocations
 produce byte-identical output at any --workers setting. The default
 output format comes from the QSIGNAL_FORMAT environment variable when
 set; the --format flag always wins.
+
+Each ``cmd_*`` handler returns its payload: one record as a dict, or for
+``run`` a list of records. `_render` derives the rest: JSON dumps the
+payload as it is, and CSV takes its header from the first record's keys.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import os
 import re
 import sys
 from collections import Counter
+from dataclasses import asdict
 
 import numpy as np
 
@@ -56,42 +61,29 @@ def _bit_string(text: str) -> str:
     return text
 
 
-def cmd_exact(args) -> tuple[list[str], list[dict], bool]:
-    dist = exact_distribution(args.bit)
-    row = {
-        "experiment": "exact",
-        "bit": args.bit,
-        "p_bob_0": dist.p_bob_0,
-        "p_bob_1": dist.p_bob_1,
-    }
-    return list(row), [row], False
+def cmd_exact(args) -> dict:
+    return {"experiment": "exact", "bit": args.bit, **asdict(exact_distribution(args.bit))}
 
 
-def cmd_ancilla(args) -> tuple[list[str], list[dict], bool]:
-    unitary = ancilla_model_distribution(args.bit)
-    collapse = exact_distribution(args.bit)
-    diff = max(
-        abs(unitary.p_bob_0 - collapse.p_bob_0),
-        abs(unitary.p_bob_1 - collapse.p_bob_1),
-    )
-    row = {
+def cmd_ancilla(args) -> dict:
+    unitary = asdict(ancilla_model_distribution(args.bit))
+    collapse = asdict(exact_distribution(args.bit))
+    return {
         "experiment": "ancilla",
         "bit": args.bit,
-        "p_bob_0": unitary.p_bob_0,
-        "p_bob_1": unitary.p_bob_1,
-        "max_abs_diff_vs_collapse": diff,
+        **unitary,
+        "max_abs_diff_vs_collapse": max(abs(unitary[k] - collapse[k]) for k in unitary),
     }
-    return list(row), [row], False
 
 
-def cmd_block(args) -> tuple[list[str], list[dict], bool]:
+def cmd_block(args) -> dict:
     estimate = monte_carlo_block_error(
         args.bit, args.n, args.trials, np.random.default_rng(args.seed), args.workers
     )
     expected = block_error_probability(args.n) if args.bit == 1 else 0.0
     # workers is an execution detail: the counts do not depend on it, and
     # omitting it keeps output byte-identical across parallelism degrees.
-    row = {
+    return {
         "experiment": "block",
         "bit": args.bit,
         "n_pairs": args.n,
@@ -103,10 +95,9 @@ def cmd_block(args) -> tuple[list[str], list[dict], bool]:
         "expected_error_rate": expected,
         "stderr_error_rate": estimate.stderr_error_rate,
     }
-    return list(row), [row], False
 
 
-def cmd_channel(args) -> tuple[list[str], list[dict], bool]:
+def cmd_channel(args) -> dict:
     chan = ZChannel(args.n)
     row = {
         "experiment": "channel",
@@ -121,38 +112,31 @@ def cmd_channel(args) -> tuple[list[str], list[dict], bool]:
         capacity, argmax_prior = channel_capacity(chan)
         row["capacity_bits"] = capacity
         row["argmax_prior_p1"] = argmax_prior
-    return list(row), [row], False
+    return row
 
 
+# Also the CSV header of a run with no outcomes, which has no record to take it from.
 _RUN_FIELDS = ["experiment", "file", "shots", "seed", "outcome", "count", "frequency"]
 
 
-def cmd_run(args) -> tuple[list[str], list[dict], bool]:
+def cmd_run(args) -> list[dict]:
     histogram = Counter()
     for bits in _sample(_compile(load(args.file)), args.shots, np.random.default_rng(args.seed)):
         outcomes, counts = np.unique(bits.T, axis=0, return_counts=True)
         for row, count in zip(outcomes.tolist(), counts.tolist()):
             histogram["".join("01"[b] for b in row)] += count
-    rows = [
-        {
-            "experiment": "run",
-            "file": args.file,
-            "shots": args.shots,
-            "seed": args.seed,
-            "outcome": outcome,
-            "count": count,
-            "frequency": count / args.shots,
-        }
+    return [
+        dict(zip(_RUN_FIELDS, ("run", args.file, args.shots, args.seed,
+                               outcome, count, count / args.shots)))
         for outcome, count in sorted(histogram.items())
         if outcome  # a circuit without measurements has no outcomes to report
     ]
-    return _RUN_FIELDS, rows, True
 
 
-def cmd_transmit(args) -> tuple[list[str], list[dict], bool]:
+def cmd_transmit(args) -> dict:
     bits = [int(c) for c in args.message]
     decoded = transmit_message(bits, args.n, np.random.default_rng(args.seed))
-    row = {
+    return {
         "experiment": "transmit",
         "message": args.message,
         "n_pairs": args.n,
@@ -160,7 +144,6 @@ def cmd_transmit(args) -> tuple[list[str], list[dict], bool]:
         "decoded": "".join(str(b) for b in decoded),
         "bit_errors": sum(d != b for d, b in zip(decoded, bits)),
     }
-    return list(row), [row], False
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -215,12 +198,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _render(fieldnames: list[str], rows: list[dict], stream: bool, fmt: str) -> str:
+def _render(payload: dict | list[dict], fmt: str) -> str:
     if fmt == "json":
-        payload = rows if stream else rows[0]
         return json.dumps(payload, indent=2)
+    rows = payload if isinstance(payload, list) else [payload]
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]) if rows else _RUN_FIELDS,
+                            lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
     return buf.getvalue().rstrip("\n")
@@ -237,11 +221,11 @@ def main(argv=None) -> int:
         )
         return 1
     try:
-        fieldnames, rows, stream = args.handler(args)
+        payload = args.handler(args)
     except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(_render(fieldnames, rows, stream, fmt))
+    print(_render(payload, fmt))
     return 0
 
 

@@ -99,7 +99,7 @@ def parse(text: str) -> Circuit:
         tokens = [t for t in raw.split(" ") if t]
         op = tokens[0]
         if op not in _ARITY:
-            raise ParseError(f"unknown mnemonic '{op}'", lineno)
+            raise ParseError(f"unknown mnemonic {op!r}", lineno)
         if len(tokens) - 1 != _ARITY[op]:
             raise ParseError(
                 f"'{op}' takes {_ARITY[op]} operand(s), got {len(tokens) - 1}", lineno
@@ -107,7 +107,7 @@ def parse(text: str) -> Circuit:
         args = []
         for tok in tokens[1:]:
             if not _INT_RE.match(tok):
-                raise ParseError(f"malformed integer '{tok}'", lineno)
+                raise ParseError(f"malformed integer {tok!r}", lineno)
             if len(tok) > _MAX_DIGITS:
                 raise ParseError(f"integer of {len(tok)} digits is too long", lineno)
             args.append(int(tok))

@@ -1,6 +1,9 @@
 import numpy as np
 
-from qsignal import StateVector
+from qsignal import AliceAction, StateVector
+from qsignal.channel import _map_chunks
+from qsignal.dsl import _draw
+from qsignal.protocol import _check_pairs, _compiled_circuit
 
 
 class FakeRandom:
@@ -27,3 +30,19 @@ def random_state(rng: np.random.Generator, num_qubits: int) -> StateVector:
     amps = rng.standard_normal(1 << num_qubits) + 1j * rng.standard_normal(1 << num_qubits)
     amps /= np.linalg.norm(amps)
     return StateVector(amps)
+
+
+def joint_counts(trials: int, rng: np.random.Generator, workers: int = 1) -> np.ndarray:
+    """2x2 table of (sender outcome, receiver outcome) counts for MEASURE trials.
+
+    Chunk i draws both rows of its trials from child stream i, as the
+    Monte Carlo engine lays them out, under the engine's caps.
+    """
+    _check_pairs(1, trials)
+    outcomes = _compiled_circuit(AliceAction.MEASURE)
+
+    def chunk_table(size: int, stream: np.random.Generator) -> np.ndarray:
+        alice, bob = _draw(outcomes, stream.random((len(outcomes), size)))
+        return np.bincount(2 * alice + bob, minlength=4).reshape(2, 2)
+
+    return sum(_map_chunks(chunk_table, trials, rng, workers))

@@ -24,8 +24,10 @@ from qsignal import (
     z_channel_mutual_information,
 )
 from qsignal import channel, dsl, protocol
-from qsignal.channel import CHUNK_TRIALS, MAX_TRIALS, _joint_counts, binary_entropy
+from qsignal.channel import CHUNK_TRIALS, MAX_TRIALS, binary_entropy
 from qsignal.protocol import MAX_PAIRS
+
+from conftest import joint_counts
 
 
 # --- exact distribution -------------------------------------------------------
@@ -87,6 +89,10 @@ def test_z_channel_fields():
     assert chan.p_missed_one == 0.0009765625
     with pytest.raises(ValueError):
         ZChannel(0)
+    # a count must be an int before it reaches math.ldexp
+    for n in (2.5, 1.0, True, "3"):
+        with pytest.raises(TypeError):
+            ZChannel(n)
 
 
 # --- Monte Carlo ---------------------------------------------------------------
@@ -139,7 +145,7 @@ def test_monte_carlo_rejects_trials_above_the_cap():
     for run in (
         lambda: monte_carlo_distribution(1, MAX_TRIALS + 1, rng),
         lambda: monte_carlo_block_error(1, 1, MAX_TRIALS + 1, rng, workers=2),
-        lambda: _joint_counts(MAX_TRIALS + 1, rng),
+        lambda: joint_counts(MAX_TRIALS + 1, rng),
     ):
         with pytest.raises(ValueError, match="trials must be between 1 and"):
             run()
@@ -170,7 +176,7 @@ def test_monte_carlo_rejects_workers_outside_the_cap(workers):
     for run in (
         lambda: monte_carlo_distribution(1, 10, rng, workers),
         lambda: monte_carlo_block_error(1, 2, 10, rng, workers),
-        lambda: _joint_counts(10, rng, workers),
+        lambda: joint_counts(10, rng, workers),
     ):
         with pytest.raises(ValueError, match=f"workers must be between 1 and 64, got {workers}"):
             run()
@@ -291,7 +297,7 @@ def test_block_chunks_compute_only_the_receivers_uniforms(n_pairs):
 
 def test_joint_counts_factorize():
     trials = 100_000
-    table = _joint_counts(trials, np.random.default_rng(9))
+    table = joint_counts(trials, np.random.default_rng(9))
     assert table.sum() == trials
     # sender marginal is fair, and the receiver is fair within each branch
     assert abs(table[1].sum() / trials - 0.5) < 3 * math.sqrt(0.25 / trials)

@@ -234,6 +234,15 @@ def test_run_csv_has_header(capsys, tmp_path):
     assert len(lines) >= 2
 
 
+def test_run_csv_without_measurements_is_the_header_alone(capsys, tmp_path):
+    # no record to take the header from: it is the run header all the same
+    path = tmp_path / "silent.qc"
+    path.write_text("qubits 2\nh 1\ncnot 1 0\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", str(path), "--seed", "3", "--format", "csv")
+    assert code == 0 and err == ""
+    assert out == "experiment,file,shots,seed,outcome,count,frequency\n"
+
+
 def test_transmit_roundtrip(capsys):
     code, out, _ = run_cli(
         capsys, "transmit", "--message", "0110", "--n", "10", "--seed", "21"

@@ -95,6 +95,9 @@ def test_parse_tolerates_extra_spaces_between_tokens():
         *[(f"qubits 2{end}# a{sep}b{end}measure 5",
            "qubit index 5 out of range for 2 qubit(s), line 3")
           for sep in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029" for end in ("\n", "\r\n", "\r")],
+        # control characters in a token are escaped, not sent to the terminal
+        ("qubits 2\nh 0\x0c", "malformed integer '0\\x0c', line 2"),
+        ("qubits 2\n\x1b[2Jh 0", "unknown mnemonic '\\x1b[2Jh', line 2"),
     ],
 )
 def test_parse_diagnostics(text, message):
@@ -345,7 +348,7 @@ def test_run_histogram_counts_the_execute_records(tmp_path_factory, circuit, see
     path.write_text(render(circuit), encoding="utf-8")
     # batches of at most 8 uniforms, so the histogram is merged across many
     with mock.patch.object(dsl, "_BATCH_UNIFORMS", 8):
-        _, rows, _ = cmd_run(argparse.Namespace(file=str(path), shots=shots, seed=seed))
+        rows = cmd_run(argparse.Namespace(file=str(path), shots=shots, seed=seed))
     expected = Counter(
         "".join(str(m.bit) for m in record.measurement_outcomes)
         for record in execute(circuit, shots, np.random.default_rng(seed))

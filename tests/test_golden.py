@@ -19,7 +19,8 @@ import pytest
 
 from qsignal import (cli, execute, load, monte_carlo_distribution, run_block, run_pair,
                      transmit_message)
-from qsignal.channel import _joint_counts
+
+from conftest import joint_counts
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -98,7 +99,7 @@ def library_results() -> dict:
                 trace.alice_outcome, trace.bob_outcome,
                 *(s.amplitudes.tobytes().hex() for s in (trace.psi_a, trace.psi_a_prime, trace.psi_b))]
         for workers in (1, 2):
-            results[f"_joint_counts-seed{seed}-workers{workers}"] = _joint_counts(
+            results[f"_joint_counts-seed{seed}-workers{workers}"] = joint_counts(
                 70000, np.random.default_rng(seed), workers).tolist()
     return results
 
