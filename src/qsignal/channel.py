@@ -19,15 +19,14 @@ which happens with probability 0.5**n_pairs.
 from __future__ import annotations
 
 import math
-import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dsl import Circuit, Instruction, _Outcome, _compile
+from .dsl import Circuit, Instruction, _check_count, _Outcome, _compile
 from .protocol import (  # noqa: F401
-    MAX_TRIALS, AliceAction, _check_pairs, _compiled_circuit, _protocol_circuit)
+    _COMPILED_CIRCUITS, MAX_TRIALS, AliceAction, _action, _check_pairs, _protocol_circuit)
 
 ANCILLA_QUBIT = 2
 
@@ -85,11 +84,7 @@ class ZChannel:
     n_pairs: int
 
     def __post_init__(self):
-        # operator.index rejects floats, but not bools, which are ints too
-        if isinstance(self.n_pairs, bool):
-            raise TypeError(f"n_pairs must be an int, got {self.n_pairs!r}")
-        if operator.index(self.n_pairs) < 1:
-            raise ValueError(f"n_pairs must be >= 1, got {self.n_pairs}")
+        _check_count("n_pairs", self.n_pairs)
 
     @property
     def p_false_one(self) -> float:
@@ -158,16 +153,15 @@ def exact_distribution(action: AliceAction | int) -> OutcomeDistribution:
     coin if she measures. No sampling is involved, so the impossible
     outcome comes out exactly zero.
     """
-    return _receiver_distribution(_compiled_circuit(AliceAction(action)))
+    return _receiver_distribution(_COMPILED_CIRCUITS[_action(action)])
 
 
 def block_error_probability(n_pairs: int) -> float:
     """Probability that a sent 1 decodes as 0: all pairs silent, 0.5**n.
 
-    Exact at any int count, 0.0 past the smallest float; a non-integral
-    count raises TypeError."""
-    if n_pairs < 1:
-        raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
+    Exact at any int count, 0.0 past the smallest float; a bool or a
+    non-integral count raises TypeError."""
+    _check_count("n_pairs", n_pairs)
     return math.ldexp(1.0, -n_pairs)
 
 
@@ -181,7 +175,7 @@ def ancilla_model_distribution(action: AliceAction | int) -> OutcomeDistribution
     exact_distribution for both actions: the receiver cannot tell the
     two measurement models apart.
     """
-    return _receiver_distribution(_compile(_ancilla_circuit(AliceAction(action))))
+    return _receiver_distribution(_compile(_ancilla_circuit(_action(action))))
 
 
 # --- information measures ---------------------------------------------------
@@ -255,7 +249,7 @@ def _decoded_ones(outcomes: tuple[_Outcome, ...], n_pairs: int, size: int,
                   stream: np.random.Generator) -> int:
     """How many of ``size`` blocks of ``n_pairs`` pairs decode 1.
 
-    ``outcomes`` is the compiled protocol circuit (`_compiled_circuit`);
+    ``outcomes`` is a compiled protocol circuit (`_COMPILED_CIRCUITS`);
     the receiver's bit is its last outcome. Pair p owns rows ``p * m`` to
     ``p * m + m - 1`` of ``size`` uniforms each, as
     ``stream.random((n_pairs * m, size))`` lays them out for its ``m``
@@ -291,8 +285,7 @@ def _chunk_sizes(trials: int) -> list[int]:
 
 def _map_chunks(fn, trials: int, rng: np.random.Generator, workers: int) -> list:
     """Apply ``fn(size, stream)`` over fixed-size chunks of ``trials`` on a thread pool."""
-    if not 1 <= workers <= _MAX_WORKERS:
-        raise ValueError(f"workers must be between 1 and {_MAX_WORKERS}, got {workers}")
+    _check_count("workers", workers, _MAX_WORKERS)
     sizes = _chunk_sizes(trials)
     streams = rng.spawn(len(sizes))
     with ThreadPoolExecutor(max_workers=min(workers, len(sizes))) as pool:
@@ -336,11 +329,10 @@ def monte_carlo_block_error(
     Each block runs ``n_pairs`` fresh pairs through the pipeline and
     decodes their OR, mirroring ``protocol.run_block``.
     """
-    action = AliceAction(action)
+    action = _action(action)
     _check_pairs(n_pairs, blocks)
-    outcomes = _compiled_circuit(action)
-    count = sum(_map_chunks(
-        lambda size, stream: _decoded_ones(outcomes, n_pairs, size, stream), blocks, rng, workers))
+    count = sum(_map_chunks(lambda size, stream: _decoded_ones(
+        _COMPILED_CIRCUITS[action], n_pairs, size, stream), blocks, rng, workers))
     return BlockErrorEstimate(
         bit=action.bit, n_pairs=n_pairs, blocks=blocks, count_decoded_one=count
     )

@@ -17,17 +17,18 @@ extension. All diagnostics carry the offending line number.
 
 from __future__ import annotations
 
+import numbers
 import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .statevector import MAX_QUBITS
+from .statevector import _OPERAND_COUNTS, MAX_QUBITS, _statement_error
 
 
 class ParseError(ValueError):
-    """Malformed circuit text; ``line`` is 1-based when known."""
+    """Malformed circuit, parsed or built by hand; ``line`` is 1-based when known."""
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
@@ -51,10 +52,15 @@ class Instruction:
 
 @dataclass(frozen=True)
 class Circuit:
-    """Validated program: qubit count plus the statements after it."""
+    """Validated program: qubit count plus the statements after it, as `parse` checks them."""
 
     num_qubits: int
     instructions: tuple[Instruction, ...]
+
+    def __post_init__(self):
+        errors = (_statement_error(ins.op, ins.args, self.num_qubits) for ins in self.instructions)
+        if error := _qubit_count_error(self.num_qubits) or next(filter(None, errors), None):
+            raise ParseError(error)
 
 
 class MeasurementRecord(NamedTuple):
@@ -71,7 +77,7 @@ class RunRecord:
     measurement_outcomes: tuple[MeasurementRecord, ...]
 
 
-_ARITY = {"qubits": 1, "h": 1, "x": 1, "cnot": 2, "measure": 1}
+_ARITY = {"qubits": 1, **_OPERAND_COUNTS}
 _INT_RE = re.compile(r"[0-9]+\Z")
 # Lines end where open()'s universal newlines and `grep -n` end them, not
 # at the other breaks str.splitlines knows (form feed, U+2028, ...).
@@ -87,6 +93,21 @@ _Outcome = tuple[int, tuple[int, ...]] | None
 MAX_TRIALS = 1 << 32
 
 
+def _check_count(name: str, value, maximum: int | None = None) -> None:
+    """Check that ``value`` is an int from 1 to ``maximum``, unbounded if None;
+    a bool or a float raises TypeError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+    if not 1 <= value <= (value if maximum is None else maximum):
+        rule = ">= 1" if maximum is None else f"between 1 and {maximum}"
+        raise ValueError(f"{name} must be {rule}, got {value}")
+
+
+def _qubit_count_error(num_qubits: int) -> str | None:
+    valid = type(num_qubits) is int and 1 <= num_qubits <= MAX_QUBITS
+    return None if valid else f"qubit count must be between 1 and {MAX_QUBITS}, got {num_qubits!r}"
+
+
 def parse(text: str) -> Circuit:
     """Parse circuit text, validating structure and qubit indices."""
     num_qubits: int | None = None
@@ -96,16 +117,12 @@ def parse(text: str) -> Circuit:
             continue
         if raw.lstrip(" ").startswith("#"):
             continue
-        tokens = [t for t in raw.split(" ") if t]
-        op = tokens[0]
-        if op not in _ARITY:
-            raise ParseError(f"unknown mnemonic {op!r}", lineno)
-        if len(tokens) - 1 != _ARITY[op]:
-            raise ParseError(
-                f"'{op}' takes {_ARITY[op]} operand(s), got {len(tokens) - 1}", lineno
-            )
+        op, *tokens = [t for t in raw.split(" ") if t]
+        # the mnemonic and the operand count first, before any operand is read
+        if error := _statement_error(op, tokens, None, _ARITY):
+            raise ParseError(error, lineno)
         args = []
-        for tok in tokens[1:]:
+        for tok in tokens:
             if not _INT_RE.match(tok):
                 raise ParseError(f"malformed integer {tok!r}", lineno)
             if len(tok) > _MAX_DIGITS:
@@ -114,22 +131,14 @@ def parse(text: str) -> Circuit:
         if op == "qubits":
             if num_qubits is not None:
                 raise ParseError("duplicate qubits declaration", lineno)
-            if not 1 <= args[0] <= MAX_QUBITS:
-                raise ParseError(
-                    f"qubit count must be between 1 and {MAX_QUBITS}, got {args[0]}",
-                    lineno,
-                )
+            if error := _qubit_count_error(args[0]):
+                raise ParseError(error, lineno)
             num_qubits = args[0]
             continue
         if num_qubits is None:
             raise ParseError("statement before qubits declaration", lineno)
-        for q in args:
-            if q >= num_qubits:
-                raise ParseError(
-                    f"qubit index {q} out of range for {num_qubits} qubit(s)", lineno
-                )
-        if op == "cnot" and args[0] == args[1]:
-            raise ParseError("cnot operands must differ", lineno)
+        if error := _statement_error(op, args, num_qubits):
+            raise ParseError(error, lineno)
         instructions.append(Instruction(op, tuple(args), lineno))
     if num_qubits is None:
         raise ParseError("missing qubits declaration")
@@ -144,9 +153,15 @@ def render(circuit: Circuit) -> str:
 
 
 def load(path) -> Circuit:
-    """Parse a circuit file (UTF-8)."""
-    with open(path, encoding="utf-8") as fh:
-        return parse(fh.read())
+    """Parse a circuit file (UTF-8); a byte that is not UTF-8 is reported with its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len(_LINE_BREAK.findall(data[:exc.start].decode("utf-8"))) + 1
+        raise ParseError(f"byte 0x{data[exc.start]:02x} is not UTF-8", line) from None
+    return parse(text)
 
 
 def _product_sign(x1: int, z1: int, x2: int, z2: int) -> int:
@@ -189,13 +204,11 @@ def _compile(circuit: Circuit) -> tuple[_Outcome, ...]:
                     xs[i], zs[i] = x ^ (x ^ z) & a, z ^ (x ^ z) & a
                 elif ins.op == "x":
                     signs[i] ^= bool(z & a)
-                elif ins.op == "cnot":
+                else:  # cnot: a Circuit holds no other gate
                     c, t = ins.args
                     xc, zt = x >> c & 1, z >> t & 1
                     signs[i] ^= xc & zt & (1 ^ (x >> t & 1) ^ (z >> c & 1))
                     xs[i], zs[i] = x ^ xc << t, z ^ zt << c
-                else:
-                    raise ValueError(f"unknown gate '{ins.op}'")
             continue
         p = next((i for i in range(n, 2 * n) if xs[i] & a), None)
         if p is None:
@@ -249,8 +262,7 @@ def _sample(outcomes: tuple[_Outcome, ...], shots: int, rng: np.random.Generator
     A batch draws at most `_BATCH_UNIFORMS` uniforms; draws are
     sequential, so the stream does not depend on the batch size.
     """
-    if not 1 <= shots <= MAX_TRIALS:
-        raise ValueError(f"shots must be between 1 and {MAX_TRIALS}, got {shots}")
+    _check_count("shots", shots, MAX_TRIALS)
     batch = max(1, _BATCH_UNIFORMS // max(1, len(outcomes)))
     for start in range(0, shots, batch):
         yield _draw(outcomes, rng.random((min(batch, shots - start), len(outcomes))).T)

@@ -20,12 +20,12 @@ import enum
 import operator
 from collections.abc import Sized
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import reduce
 from itertools import islice
 
 import numpy as np
 
-from .dsl import MAX_TRIALS, Circuit, Instruction, _compile, _Outcome, _sample
+from .dsl import MAX_TRIALS, Circuit, Instruction, _check_count, _compile, _sample
 from .statevector import (
     RandomSource,
     StateVector,
@@ -107,21 +107,24 @@ def _protocol_circuit(action: AliceAction) -> Circuit:
     return Circuit(2, (*prepare, *sender, *prepare[::-1], Instruction("measure", (BOB_QUBIT,))))
 
 
-@cache
-def _compiled_circuit(action: AliceAction) -> tuple[_Outcome, ...]:
-    """`_protocol_circuit` compiled by `dsl._compile`, once per action and process.
+_COMPILED_CIRCUITS = {action: _compile(_protocol_circuit(action)) for action in AliceAction}
 
-    An int key equals its action, so it is converted before compiling.
-    """
-    return _compile(_protocol_circuit(AliceAction(action)))
+
+def _action(bit, name: str = "action") -> AliceAction:
+    """``bit`` as an AliceAction; anything but the ints 0 and 1, a float included, is rejected."""
+    try:
+        value = operator.index(bit)
+    except TypeError:
+        value = None
+    if value not in (0, 1):
+        raise ValueError(f"{name} must be 0 or 1, got {bit!r}")
+    return AliceAction(value)
 
 
 def _check_pairs(n_pairs: int, blocks: int = 1) -> None:
     """Check ``blocks`` blocks of ``n_pairs`` pairs against both run-size caps."""
-    if not 1 <= n_pairs <= MAX_PAIRS:
-        raise ValueError(f"n_pairs must be between 1 and {MAX_PAIRS}, got {n_pairs}")
-    if not 1 <= blocks <= MAX_TRIALS // n_pairs:
-        raise ValueError(f"trials must be between 1 and {MAX_TRIALS // n_pairs}, got {blocks}")
+    _check_count("n_pairs", n_pairs, MAX_PAIRS)
+    _check_count("trials", blocks, MAX_TRIALS // n_pairs)
 
 
 def _require_pair(state: StateVector) -> None:
@@ -138,7 +141,7 @@ def alice_step(
     (no measurement means no collapse and no draw from ``rng``).
     """
     _require_pair(state)
-    action = AliceAction(action)
+    action = _action(action)
     if action is AliceAction.SKIP:
         return state, None
     result = measure_qubit(state, ALICE_QUBIT, rng)
@@ -160,7 +163,7 @@ def bob_step(state: StateVector, rng: RandomSource) -> int:
 
 def run_pair(action: AliceAction | int, rng: RandomSource) -> ProtocolTrace:
     """One full protocol run on a fresh pair."""
-    action = AliceAction(action)
+    action = _action(action)
     psi_a = prepare_pair()
     psi_a_prime, alice_outcome = alice_step(psi_a, action, rng)
     psi_b = restore(psi_a_prime)
@@ -185,20 +188,9 @@ def run_block(
     sender's before the receiver's, as ``run_pair`` would.
     """
     _check_pairs(n_pairs)
-    bits = np.hstack([*_sample(_compiled_circuit(AliceAction(action)), n_pairs, rng)])
+    bits = np.hstack([*_sample(_COMPILED_CIRCUITS[_action(action)], n_pairs, rng)])
     outcomes = tuple(bits[-1].astype(int).tolist())
     return BlockResult(n_pairs, outcomes, int(any(outcomes)))
-
-
-def _message_bit(index: int, bit) -> int:
-    """``bit`` as the int 0 or 1; anything else, a float included, is rejected."""
-    try:
-        value = operator.index(bit)
-    except TypeError:
-        value = None
-    if value not in (0, 1):
-        raise ValueError(f"message bit {index} must be 0 or 1, got {bit!r}")
-    return value
 
 
 def transmit_message(
@@ -219,10 +211,10 @@ def transmit_message(
         count = len(bits) if len(bits) <= _MAX_MESSAGE_BITS else f"more than {_MAX_MESSAGE_BITS}"
     if not 1 <= len(bits) <= _MAX_MESSAGE_BITS:
         raise ValueError(f"message must have between 1 and {_MAX_MESSAGE_BITS} bits, got {count}")
-    bits = [_message_bit(i, b) for i, b in enumerate(bits)]
+    actions = [_action(b, f"message bit {i}") for i, b in enumerate(bits)]
     _check_pairs(n_pairs)
-    streams = rng.spawn(len(bits))
+    streams = rng.spawn(len(actions))
     return [
-        run_block(AliceAction(bit), n_pairs, stream).decoded_bit
-        for bit, stream in zip(bits, streams)
+        run_block(action, n_pairs, stream).decoded_bit
+        for action, stream in zip(actions, streams)
     ]

@@ -108,30 +108,36 @@ class GateKind(enum.Enum):
     CNOT = "cnot"
 
 
-_GATE_ARITY = {GateKind.HADAMARD: 1, GateKind.NOT: 1, GateKind.CNOT: 2}
+# Operands of each statement a circuit may hold, by mnemonic (a GateKind's value).
+_OPERAND_COUNTS = {"h": 1, "x": 1, "cnot": 2, "measure": 1}
+
+
+def _statement_error(op: str, args, num_qubits: int | None, counts=_OPERAND_COUNTS) -> str | None:
+    """Why ``op args`` is not a statement on ``num_qubits`` qubits, else None:
+    the mnemonic must take ``counts[op]`` operands, each an int in [0, num_qubits),
+    and they must differ. With ``num_qubits`` None, only the count is checked."""
+    if op not in counts:
+        return f"unknown mnemonic {op!r}"
+    if len(args) != counts[op]:
+        return f"'{op}' takes {counts[op]} operand(s), got {len(args)}"
+    if num_qubits is None:
+        return None
+    for q in args:
+        if type(q) is not int or not 0 <= q < num_qubits:
+            return f"qubit index {q!r} out of range for {num_qubits} qubit(s)"
+    return f"{op} operands must differ" if len(set(args)) != len(args) else None
 
 
 @dataclass(frozen=True)
 class GateOp:
-    """Symbolic gate instruction.
-
-    Index upper bounds are checked against the state on application;
-    everything else is validated here.
-    """
+    """Symbolic gate instruction, checked as a circuit statement on MAX_QUBITS qubits."""
 
     kind: GateKind
     qubits: tuple[int, ...]
 
     def __post_init__(self):
-        arity = _GATE_ARITY[self.kind]
-        if len(self.qubits) != arity:
-            raise ValueError(
-                f"{self.kind.value} takes {arity} qubit(s), got {len(self.qubits)}"
-            )
-        if any(q < 0 for q in self.qubits):
-            raise ValueError(f"qubit indices must be non-negative: {self.qubits}")
-        if self.kind is GateKind.CNOT and self.qubits[0] == self.qubits[1]:
-            raise ValueError("cnot control and target must differ")
+        if error := _statement_error(self.kind.value, self.qubits, MAX_QUBITS):
+            raise ValueError(error)
 
 
 def hadamard(qubit: int) -> GateOp:

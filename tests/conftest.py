@@ -3,7 +3,7 @@ import numpy as np
 from qsignal import AliceAction, StateVector
 from qsignal.channel import _map_chunks
 from qsignal.dsl import _draw
-from qsignal.protocol import _check_pairs, _compiled_circuit
+from qsignal.protocol import _COMPILED_CIRCUITS, _check_pairs
 
 
 class FakeRandom:
@@ -39,7 +39,7 @@ def joint_counts(trials: int, rng: np.random.Generator, workers: int = 1) -> np.
     Monte Carlo engine lays them out, under the engine's caps.
     """
     _check_pairs(1, trials)
-    outcomes = _compiled_circuit(AliceAction.MEASURE)
+    outcomes = _COMPILED_CIRCUITS[AliceAction.MEASURE]
 
     def chunk_table(size: int, stream: np.random.Generator) -> np.ndarray:
         alice, bob = _draw(outcomes, stream.random((len(outcomes), size)))

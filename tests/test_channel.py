@@ -73,8 +73,9 @@ def test_block_error_probability_is_exact_at_any_count():
     assert all(block_error_probability(n) == 0.5**n for n in range(1, 3000))
     assert block_error_probability(1074) == 5e-324
     assert block_error_probability(1075) == block_error_probability(10**400) == 0.0
-    with pytest.raises(TypeError):
-        block_error_probability(2.5)
+    for n in (2.5, True):
+        with pytest.raises(TypeError, match=f"^n_pairs must be an int, got {n}$"):
+            block_error_probability(n)
 
 
 @pytest.mark.parametrize("n", [0, -1])
@@ -161,6 +162,15 @@ def test_monte_carlo_block_error_bounds_pairs_before_any_stream():
     cap = MAX_TRIALS // MAX_PAIRS
     with pytest.raises(ValueError, match=f"trials must be between 1 and {cap}, got"):
         monte_carlo_block_error(1, MAX_PAIRS, cap + 1, rng, workers=2)
+    # a bool or a float is not a count, of pairs, blocks or workers
+    for run, name, value in (
+        (lambda: monte_carlo_block_error(1, True, 5, rng), "n_pairs", True),
+        (lambda: monte_carlo_block_error(1, 2, 5.0, rng), "trials", 5.0),
+        (lambda: monte_carlo_distribution(1, True, rng), "trials", True),
+        (lambda: monte_carlo_block_error(1, 2, 5, rng, workers=2.0), "workers", 2.0),
+    ):
+        with pytest.raises(TypeError, match=f"^{name} must be an int, got {value}$"):
+            run()
     assert rng.spawn(1)[0].random() == np.random.default_rng(0).spawn(1)[0].random()
 
 

@@ -214,6 +214,15 @@ def test_run_parse_error_reports_line(capsys, tmp_path):
     assert "cnot operands must differ, line 2" in err
 
 
+def test_run_names_the_line_of_a_byte_that_is_not_utf8(capsys, tmp_path):
+    path = tmp_path / "latin1.qc"
+    path.write_bytes(b"qubits 2\nh 1\n# caf\xe9\nmeasure 1\n")
+    code, out, err = run_cli(capsys, "run", str(path), "--seed", "1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: byte 0xe9 is not UTF-8, line 3\n"
+
+
 def test_run_is_byte_identical_per_seed(capsys, tmp_path):
     path = tmp_path / "pair.qc"
     path.write_text(BELL_TEXT, encoding="utf-8")

@@ -33,7 +33,7 @@ from qsignal import OutcomeDistribution, dsl
 from qsignal.channel import _receiver_distribution
 from qsignal.cli import cmd_run
 from qsignal.dsl import MAX_TRIALS
-from qsignal.statevector import _GATE_ARITY, _KERNELS, _born_probabilities, _measure
+from qsignal.statevector import _KERNELS, _OPERAND_COUNTS, _born_probabilities, _measure
 
 import dense
 
@@ -126,6 +126,73 @@ def test_parse_error_carries_line_attribute():
     with pytest.raises(ParseError) as excinfo:
         parse("")
     assert excinfo.value.line is None
+
+
+def test_load_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
+    # a multibyte character on line 2, then a Latin-1 byte on line 3, lines
+    # ending at CRLF and CR as `parse` counts them
+    path = tmp_path / "latin1.qc"
+    path.write_bytes(b"qubits 2\r\n# caf\xc3\xa9\r# caf\xe9\nh 0\n")
+    with pytest.raises(ParseError) as excinfo:
+        load(path)
+    assert str(excinfo.value) == "byte 0xe9 is not UTF-8, line 3"
+    assert excinfo.value.line == 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 26), st.sampled_from(["h", "x", "cnot", "measure", "swap", "z"]),
+       st.data())
+def test_hand_built_statements_follow_the_parse_rules(num_qubits, op, data):
+    # one statement rule: a hand-built Circuit raises exactly when parse
+    # of the same text does, with the same message less its line
+    args = tuple(data.draw(st.lists(st.integers(0, num_qubits + 1), max_size=3)))
+    try:
+        expected = parse(f"qubits {num_qubits}\n{op} {' '.join(map(str, args))}")
+    except ParseError as exc:
+        expected = str(exc).removesuffix(f", line {exc.line}")
+    try:
+        built = Circuit(num_qubits, (Instruction(op, args),))
+    except ParseError as exc:
+        assert exc.line is None
+        built = str(exc)
+    assert built == expected
+
+
+RESTORE_TYPO = (Instruction("h", (1,)), Instruction("cnot", (1, 0)), Instruction("measure", (0,)),
+                Instruction("cnot", (1, 0)), Instruction("h", (5,)), Instruction("measure", (1,)))
+
+
+@pytest.mark.parametrize("build, message", [
+    # the paper's restore with `h 5` typed for `h 1` would read as no signal
+    (lambda: Circuit(2, RESTORE_TYPO), "qubit index 5 out of range for 2 qubit(s)"),
+    (lambda: Circuit(0, ()), "qubit count must be between 1 and 24, got 0"),
+    (lambda: Circuit(40, ()), "qubit count must be between 1 and 24, got 40"),
+    (lambda: Circuit(2.0, ()), "qubit count must be between 1 and 24, got 2.0"),
+    (lambda: Circuit(2, (Instruction("cnot", (0, 0)),)), "cnot operands must differ"),
+    (lambda: Circuit(2, (Instruction("swap", (0, 1)),)), "unknown mnemonic 'swap'"),
+    # a float operand is a ValueError here, not a TypeError in _compile
+    (lambda: Circuit(2, (Instruction("h", (1.0,)),)), "qubit index 1.0 out of range for 2 qubit(s)"),
+    (lambda: Circuit(2, (Instruction("h", (True,)),)), "qubit index True out of range for 2 qubit(s)"),
+    (lambda: GateOp(GateKind.HADAMARD, (24,)), "qubit index 24 out of range for 24 qubit(s)"),
+])
+def test_invalid_statements_fail_at_construction(monkeypatch, build, message):
+    monkeypatch.setattr(dsl, "_compile", mock.Mock(side_effect=AssertionError("compiled")))
+    with pytest.raises(ValueError) as excinfo:
+        execute(build(), 1, np.random.default_rng(0))
+    assert str(excinfo.value) == message
+    assert getattr(excinfo.value, "line", None) is None
+
+
+def test_a_wide_circuit_fails_before_any_tableau():
+    # the tableau of 20000 qubits grows with the square of the count
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="^qubit count must be between 1 and 24, got 20000$"):
+            execute(Circuit(20000, ()), 1, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_parse_rejects_tab_separated_tokens():
@@ -273,7 +340,7 @@ def test_executor_gates_are_clifford():
     gates = {"h": 1, "x": 1, "cnot": 2}
     assert {op: n for op, n in dsl._ARITY.items() if op not in ("qubits", "measure")} == gates
     assert {op: len(inspect.signature(k).parameters) - 1 for op, k in _KERNELS.items()} == gates
-    assert {kind.value: _GATE_ARITY[kind] for kind in GateKind} == gates
+    assert {kind.value: _OPERAND_COUNTS[kind.value] for kind in GateKind} == gates
     compiled = set()
     for op in [*gates, "swap", "cz", "z", "y", "s", "t"]:
         try:
@@ -314,9 +381,9 @@ def test_compiled_executor_matches_the_dense_oracle(circuit, seed, shots):
 
 
 def test_executor_rejects_unknown_gates():
-    # a hand-built Circuit skips parse; a two-operand gate is not run as a cnot
-    circuit = Circuit(2, (Instruction("swap", (0, 1)), Instruction("measure", (0,))))
-    with pytest.raises(ValueError, match="unknown gate 'swap'"):
+    # a hand-built Circuit is checked as parse checks; a two-operand gate is never run as a cnot
+    with pytest.raises(ValueError, match="unknown mnemonic 'swap'"):
+        circuit = Circuit(2, (Instruction("swap", (0, 1)), Instruction("measure", (0,))))
         execute(circuit, 1, np.random.default_rng(0))
 
 
@@ -464,6 +531,9 @@ def test_execute_rejects_bad_shot_counts():
         rng = np.random.default_rng(0)
         for shots in (0, MAX_TRIALS + 1):
             with pytest.raises(ValueError, match=f"shots must be between 1 and {MAX_TRIALS}, got {shots}"):
+                execute(parse(text), shots, rng)
+        for shots in (True, 5.0):
+            with pytest.raises(TypeError, match=f"^shots must be an int, got {shots}$"):
                 execute(parse(text), shots, rng)
         # rejected before a single uniform was drawn
         assert rng.random() == np.random.default_rng(0).random()

@@ -13,11 +13,15 @@ from qsignal import (
     StateVector,
     Circuit,
     alice_step,
+    ancilla_model_distribution,
     apply_gate,
     bob_step,
     collapse_qubit,
+    exact_distribution,
     hadamard,
     load,
+    monte_carlo_block_error,
+    monte_carlo_distribution,
     new_ground_state,
     outcome_distribution,
     prepare_pair,
@@ -83,6 +87,31 @@ def test_alice_action_rejects_other_values():
         AliceAction(2)
     with pytest.raises(ValueError):
         run_pair(3, np.random.default_rng(0))
+
+
+SENDER_ENTRY_POINTS = {
+    "run_pair": lambda bit: run_pair(bit, np.random.default_rng(0)).bob_outcome,
+    "alice_step": lambda bit: alice_step(prepare_pair(), bit, FakeRandom(0.7))[1],
+    "run_block": lambda bit: run_block(bit, 5, np.random.default_rng(0)),
+    "exact_distribution": exact_distribution,
+    "ancilla_model_distribution": ancilla_model_distribution,
+    "monte_carlo_block_error": lambda bit: monte_carlo_block_error(
+        bit, 2, 10, np.random.default_rng(0)),
+    "monte_carlo_distribution": lambda bit: monte_carlo_distribution(
+        bit, 10, np.random.default_rng(0)),
+}
+
+
+@pytest.mark.parametrize("name", SENDER_ENTRY_POINTS)
+def test_sender_bit_is_the_int_0_or_1_at_every_entry_point(name):
+    # a float is rejected, never read as MEASURE, as transmit_message does
+    run = SENDER_ENTRY_POINTS[name]
+    for bit in (1.0, 0.0, 0.5, "1", 2):
+        with pytest.raises(ValueError, match=f"^action must be 0 or 1, got {bit!r}$"):
+            run(bit)
+    for bit in (True, np.int64(1), AliceAction.MEASURE):
+        assert run(bit) == run(1)
+    assert run(np.int64(0)) == run(0)
 
 
 def test_alice_step_rejects_wrong_qubit_count():
@@ -272,6 +301,12 @@ def test_block_paths_reject_pairs_above_the_cap():
     ):
         with pytest.raises(ValueError, match=f"n_pairs must be between 1 and {MAX_PAIRS}"):
             run()
+    # a bool or a float is not a count: no block of True pairs
+    for n_pairs in (True, 5.0):
+        with pytest.raises(TypeError, match=f"^n_pairs must be an int, got {n_pairs}$"):
+            run_block(1, n_pairs, rng)
+        with pytest.raises(TypeError, match=f"^n_pairs must be an int, got {n_pairs}$"):
+            transmit_message([1, 0], n_pairs, rng)
     assert rng.random() == np.random.default_rng(0).random()
 
 
