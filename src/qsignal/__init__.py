@@ -2,7 +2,31 @@
 collapse-plus-restore signalling on entangled pairs, with channel
 analysis and a small circuit language."""
 
-from .statevector import (
+
+def _import_numpy_without_blas_pool() -> None:
+    # OpenBLAS starts one worker per extra core when numpy loads it, and
+    # each busy-waits for about 0.1 s, inside which a whole qsignal command
+    # runs; qsignal makes no BLAS call that needs them. OpenBLAS reads its
+    # thread count once, at load, so the variable is set only for that
+    # import and children still see the caller's environment. A numpy
+    # already loaded, or a thread count the caller set, is left alone.
+    import os
+    import sys
+
+    if "numpy" in sys.modules or any(
+        name in os.environ for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    ):
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
+
+_import_numpy_without_blas_pool()
+
+from .statevector import (  # noqa: E402
     AMPLITUDE_ATOL,
     MAX_QUBITS,
     MIN_BRANCH_PROBABILITY,
@@ -21,7 +45,7 @@ from .statevector import (
     not_gate,
     outcome_distribution,
 )
-from .protocol import (
+from .protocol import (  # noqa: E402
     ALICE_QUBIT,
     BOB_QUBIT,
     AliceAction,
@@ -35,7 +59,7 @@ from .protocol import (
     run_pair,
     transmit_message,
 )
-from .channel import (
+from .channel import (  # noqa: E402
     ANCILLA_QUBIT,
     BlockErrorEstimate,
     EmpiricalDistribution,
@@ -52,7 +76,7 @@ from .channel import (
     z_channel_capacity,
     z_channel_mutual_information,
 )
-from .dsl import (
+from .dsl import (  # noqa: E402
     Circuit,
     Instruction,
     MeasurementRecord,

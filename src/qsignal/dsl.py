@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .statevector import _OPERAND_COUNTS, MAX_QUBITS, _statement_error
+from .statevector import _OPERAND_COUNTS, _qubit_count_error, _statement_error
 
 
 class ParseError(ValueError):
@@ -101,11 +101,6 @@ def _check_count(name: str, value, maximum: int | None = None) -> None:
     if not 1 <= value <= (value if maximum is None else maximum):
         rule = ">= 1" if maximum is None else f"between 1 and {maximum}"
         raise ValueError(f"{name} must be {rule}, got {value}")
-
-
-def _qubit_count_error(num_qubits: int) -> str | None:
-    valid = type(num_qubits) is int and 1 <= num_qubits <= MAX_QUBITS
-    return None if valid else f"qubit count must be between 1 and {MAX_QUBITS}, got {num_qubits!r}"
 
 
 def parse(text: str) -> Circuit:

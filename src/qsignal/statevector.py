@@ -59,8 +59,8 @@ class StateVector:
             raise ValueError(
                 f"amplitude count must be a power of two >= 2, got {amps.size}"
             )
-        if n > MAX_QUBITS:
-            raise ValueError(f"at most {MAX_QUBITS} qubits supported, got {n}")
+        if error := _qubit_count_error(n):
+            raise ValueError(error)
         if not np.all(np.isfinite(amps)):
             raise ValueError("amplitudes must be finite")
         sq = float(np.sum(amps.real**2 + amps.imag**2))
@@ -112,10 +112,25 @@ class GateKind(enum.Enum):
 _OPERAND_COUNTS = {"h": 1, "x": 1, "cnot": 2, "measure": 1}
 
 
+def _qubit_count_error(num_qubits) -> str | None:
+    """Why ``num_qubits`` is not a qubit count, else None: it must be an int
+    (not a bool) from 1 to MAX_QUBITS."""
+    valid = type(num_qubits) is int and 1 <= num_qubits <= MAX_QUBITS
+    return None if valid else f"qubit count must be between 1 and {MAX_QUBITS}, got {num_qubits!r}"
+
+
+def _operand_error(qubit, num_qubits: int) -> str | None:
+    """Why ``qubit`` is not a qubit of ``num_qubits``, else None: it must be
+    an int (not a bool) in [0, num_qubits)."""
+    valid = type(qubit) is int and 0 <= qubit < num_qubits
+    return None if valid else f"qubit index {qubit!r} out of range for {num_qubits} qubit(s)"
+
+
 def _statement_error(op: str, args, num_qubits: int | None, counts=_OPERAND_COUNTS) -> str | None:
     """Why ``op args`` is not a statement on ``num_qubits`` qubits, else None:
-    the mnemonic must take ``counts[op]`` operands, each an int in [0, num_qubits),
-    and they must differ. With ``num_qubits`` None, only the count is checked."""
+    the mnemonic must take ``counts[op]`` operands, each a qubit by
+    `_operand_error`, and they must differ. With ``num_qubits`` None, only the
+    count is checked."""
     if op not in counts:
         return f"unknown mnemonic {op!r}"
     if len(args) != counts[op]:
@@ -123,8 +138,8 @@ def _statement_error(op: str, args, num_qubits: int | None, counts=_OPERAND_COUN
     if num_qubits is None:
         return None
     for q in args:
-        if type(q) is not int or not 0 <= q < num_qubits:
-            return f"qubit index {q!r} out of range for {num_qubits} qubit(s)"
+        if error := _operand_error(q, num_qubits):
+            return error
     return f"{op} operands must differ" if len(set(args)) != len(args) else None
 
 
@@ -243,16 +258,14 @@ def _measure(amps: np.ndarray, qubit: int, u: np.ndarray) -> tuple[np.ndarray, n
 
 
 def _check_qubit(state: StateVector, qubit: int) -> None:
-    if not 0 <= qubit < state.num_qubits:
-        raise ValueError(
-            f"qubit {qubit} out of range for {state.num_qubits}-qubit state"
-        )
+    if error := _operand_error(qubit, state.num_qubits):
+        raise ValueError(error)
 
 
 def new_ground_state(num_qubits: int) -> StateVector:
     """The all-zeros computational basis state |0...0>."""
-    if not 1 <= num_qubits <= MAX_QUBITS:
-        raise ValueError(f"num_qubits must be in [1, {MAX_QUBITS}], got {num_qubits}")
+    if error := _qubit_count_error(num_qubits):
+        raise ValueError(error)
     amps = np.zeros(1 << num_qubits, dtype=np.complex128)
     amps[0] = 1.0
     return StateVector._trusted(amps)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from qsignal import (
     outcome_distribution,
 )
 from qsignal.dsl import parse
+from qsignal import statevector
 from qsignal.statevector import MIN_BRANCH_PROBABILITY, _measure
 
 import dense
@@ -46,10 +48,17 @@ def test_ground_state_three_qubits():
     assert np.array_equal(amps(new_ground_state(3)), [1, 0, 0, 0, 0, 0, 0, 0])
 
 
-@pytest.mark.parametrize("n", [0, -1, 25, 100])
+@pytest.mark.parametrize("n", [0, -1, 25, 100, True, 2.0])
 def test_ground_state_rejects_bad_qubit_counts(n):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape(f"qubit count must be between 1 and 24, got {n!r}")):
         new_ground_state(n)
+
+
+def test_statevector_takes_the_qubit_count_cap_of_parse(monkeypatch):
+    # 2**25 amplitudes would take 512 MiB, so the cap is lowered instead
+    monkeypatch.setattr(statevector, "MAX_QUBITS", 2)
+    with pytest.raises(ValueError, match="^qubit count must be between 1 and 2, got 3$"):
+        StateVector(np.eye(8)[0])
 
 
 def test_statevector_rejects_non_power_of_two():
@@ -240,6 +249,19 @@ def test_outcome_distribution_matches_brute_force_on_random_states():
 def test_outcome_distribution_rejects_bad_qubit():
     with pytest.raises(ValueError):
         outcome_distribution(new_ground_state(2), 2)
+
+
+@pytest.mark.parametrize("qubit", [2, -1, 1.0, True, np.int64(1)], ids=repr)
+def test_public_operations_take_the_operand_check_of_parse(qubit):
+    message = "^" + re.escape(f"qubit index {qubit!r} out of range for 2 qubit(s)") + "$"
+    pair = StateVector([R, 0, 0, R])
+    for operation in (
+        lambda: outcome_distribution(pair, qubit),
+        lambda: measure_qubit(pair, qubit, FakeRandom(0.5)),
+        lambda: collapse_qubit(pair, qubit, 0),
+    ):
+        with pytest.raises(ValueError, match=message):
+            operation()
 
 
 # --- measurement -------------------------------------------------------------
