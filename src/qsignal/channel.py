@@ -18,7 +18,9 @@ which happens with probability 0.5**n_pairs.
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -182,8 +184,10 @@ def ancilla_model_distribution(action: AliceAction | int) -> OutcomeDistribution
 
 
 def binary_entropy(p: float) -> float:
-    """H2(p) in bits, with 0*log(0) taken as 0."""
-    if p <= 0.0 or p >= 1.0:
+    """H2(p) in bits, with 0*log(0) taken as 0; p outside [0, 1], NaN included, raises."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {p!r}")
+    if p == 0.0 or p == 1.0:
         return 0.0
     return -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))
 
@@ -283,12 +287,38 @@ def _chunk_sizes(trials: int) -> list[int]:
     return sizes
 
 
+def _pinner(threads: int):
+    """A pool initializer that binds each of ``threads`` threads to the next
+    CPU of the caller's affinity mask, round-robin, or None where there is
+    nothing to spread (one thread, one CPU, or no affinity calls).
+
+    Pid 0 is the calling thread on Linux, so only pool threads are bound.
+    The kernel may otherwise leave every pool thread on one CPU; a refused
+    pin (`OSError`) is ignored, as placement never changes a count.
+    """
+    if threads < 2 or not hasattr(os, "sched_setaffinity"):
+        return None
+    cpus = sorted(os.sched_getaffinity(0))
+    if len(cpus) < 2:
+        return None
+    # one C call, so threads starting together take distinct turns
+    next_cpu = itertools.cycle(cpus).__next__
+
+    def pin():
+        try:
+            os.sched_setaffinity(0, {next_cpu()})
+        except OSError:
+            pass
+    return pin
+
+
 def _map_chunks(fn, trials: int, rng: np.random.Generator, workers: int) -> list:
     """Apply ``fn(size, stream)`` over fixed-size chunks of ``trials`` on a thread pool."""
     _check_count("workers", workers, _MAX_WORKERS)
     sizes = _chunk_sizes(trials)
     streams = rng.spawn(len(sizes))
-    with ThreadPoolExecutor(max_workers=min(workers, len(sizes))) as pool:
+    threads = min(workers, len(sizes))
+    with ThreadPoolExecutor(max_workers=threads, initializer=_pinner(threads)) as pool:
         return list(pool.map(fn, sizes, streams))
 
 

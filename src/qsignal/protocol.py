@@ -17,7 +17,6 @@ becomes readable only through the two-qubit ``restore`` gate.
 from __future__ import annotations
 
 import enum
-import operator
 from collections.abc import Sized
 from dataclasses import dataclass
 from functools import reduce
@@ -29,6 +28,7 @@ from .dsl import MAX_TRIALS, Circuit, Instruction, _check_count, _compile, _samp
 from .statevector import (
     RandomSource,
     StateVector,
+    _bit,
     apply_gate,
     cnot,
     hadamard,
@@ -112,13 +112,7 @@ _COMPILED_CIRCUITS = {action: _compile(_protocol_circuit(action)) for action in 
 
 def _action(bit, name: str = "action") -> AliceAction:
     """``bit`` as an AliceAction; anything but the ints 0 and 1, a float included, is rejected."""
-    try:
-        value = operator.index(bit)
-    except TypeError:
-        value = None
-    if value not in (0, 1):
-        raise ValueError(f"{name} must be 0 or 1, got {bit!r}")
-    return AliceAction(value)
+    return AliceAction(_bit(bit, name))
 
 
 def _check_pairs(n_pairs: int, blocks: int = 1) -> None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from typing import Protocol, Sequence
 
@@ -257,6 +258,18 @@ def _measure(amps: np.ndarray, qubit: int, u: np.ndarray) -> tuple[np.ndarray, n
 # --- public operations -----------------------------------------------------
 
 
+def _bit(value, name: str) -> int:
+    """``value`` as the int 0 or 1, read with ``operator.index``; anything
+    else, a float included, raises ValueError."""
+    try:
+        bit = operator.index(value)
+    except TypeError:
+        bit = None
+    if bit not in (0, 1):
+        raise ValueError(f"{name} must be 0 or 1, got {value!r}")
+    return bit
+
+
 def _check_qubit(state: StateVector, qubit: int) -> None:
     if error := _operand_error(qubit, state.num_qubits):
         raise ValueError(error)
@@ -293,8 +306,7 @@ def collapse_qubit(state: StateVector, qubit: int, outcome: int) -> StateVector:
     Raises if the requested branch carries less than MIN_BRANCH_PROBABILITY.
     """
     _check_qubit(state, qubit)
-    if outcome not in (0, 1):
-        raise ValueError(f"outcome must be 0 or 1, got {outcome}")
+    outcome = _bit(outcome, "outcome")
     p0, p1 = outcome_distribution(state, qubit)
     probability = p1 if outcome else p0
     if probability < MIN_BRANCH_PROBABILITY:

@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -196,11 +198,15 @@ def test_monte_carlo_rejects_workers_outside_the_cap(workers):
 
 def test_monte_carlo_pool_holds_no_more_threads_than_chunks(monkeypatch):
     sizes = []
+    # the serial pool runs its initializer in the calling thread, which must stay unpinned
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None, raising=False)
 
     class SerialPool:
         # Records the pool size and maps in the calling thread: no thread starts.
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None):
             sizes.append(max_workers)
+            if initializer is not None:
+                initializer()
 
         def __enter__(self):
             return self
@@ -215,6 +221,48 @@ def test_monte_carlo_pool_holds_no_more_threads_than_chunks(monkeypatch):
     for trials, workers in ((10, 64), (2 * CHUNK_TRIALS + 1, 64), (2 * CHUNK_TRIALS + 1, 2)):
         monte_carlo_distribution(1, trials, np.random.default_rng(7), workers)
     assert sizes == [1, 3, 2]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs an affinity mask of at least 2 CPUs")
+def test_monte_carlo_pool_leaves_the_callers_affinity_alone():
+    before = os.sched_getaffinity(0)
+    monte_carlo_block_error(1, 10, 8 * CHUNK_TRIALS, np.random.default_rng(9), workers=2)
+    assert os.sched_getaffinity(0) == before
+
+
+def test_monte_carlo_counts_survive_a_refused_pin(monkeypatch):
+    def refuse(pid, cpus):
+        raise OSError("pinning refused")
+
+    serial = monte_carlo_block_error(1, 3, 8 * CHUNK_TRIALS, np.random.default_rng(10), workers=1)
+    monkeypatch.setattr(os, "sched_setaffinity", refuse, raising=False)
+    pooled = monte_carlo_block_error(1, 3, 8 * CHUNK_TRIALS, np.random.default_rng(10), workers=2)
+    assert pooled == serial
+
+
+@pytest.mark.parametrize("mask, workers, pinned", [
+    ({0, 1, 2, 3}, 2, [0, 1]),
+    ({0, 1, 2, 3}, 8, [0, 0, 1, 1, 2, 2, 3, 3]),
+    ({0, 1, 2, 3}, 1, []),
+    ({3}, 2, []),
+])
+def test_monte_carlo_pool_pins_threads_round_robin(monkeypatch, mask, workers, pinned):
+    calls = []
+    # Every pinned thread waits here until all have started: none goes idle
+    # early, so the pool starts all of its threads.
+    started = threading.Barrier(max(len(pinned), 1), timeout=30)
+
+    def record(pid, cpus):
+        calls.append((pid, cpus))
+        started.wait()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: mask, raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", record, raising=False)
+    monte_carlo_block_error(1, 2, 8 * CHUNK_TRIALS, np.random.default_rng(11), workers)
+    # each pool thread pins itself (pid 0) to one CPU of the mask
+    assert all(pid == 0 and len(cpus) == 1 for pid, cpus in calls)
+    assert sorted(cpu for _, cpus in calls for cpu in cpus) == pinned
 
 
 def test_block_error_monte_carlo_consistency():
@@ -379,6 +427,12 @@ def test_mutual_information_nonnegative_and_concave():
         assert all(v >= 0.0 for v in values)
         for i in range(1, 100):
             assert values[i - 1] + values[i + 1] - 2 * values[i] <= 1e-12
+
+
+@pytest.mark.parametrize("p", [-3, 1.5, math.nan])
+def test_binary_entropy_rejects_probabilities_outside_the_unit_interval(p):
+    with pytest.raises(ValueError, match=rf"^p must lie in \[0, 1\], got {p!r}$"):
+        binary_entropy(p)
 
 
 def test_mutual_information_rejects_bad_arguments():

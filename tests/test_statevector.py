@@ -354,8 +354,9 @@ def test_collapse_qubit_rejects_tiny_branch():
 
 
 def test_collapse_qubit_rejects_bad_outcome():
-    with pytest.raises(ValueError):
-        collapse_qubit(new_ground_state(2), 0, 2)
+    for outcome in (2, 1.0, 0.0, -1, "1"):
+        with pytest.raises(ValueError, match=f"^outcome must be 0 or 1, got {re.escape(repr(outcome))}$"):
+            collapse_qubit(new_ground_state(2), 0, outcome)
 
 
 def test_batched_measure_matches_measure_qubit():
