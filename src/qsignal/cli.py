@@ -28,7 +28,6 @@ import numpy as np
 from .channel import (
     ZChannel,
     ancilla_model_distribution,
-    block_error_probability,
     channel_capacity,
     exact_distribution,
     monte_carlo_block_error,
@@ -80,7 +79,7 @@ def cmd_block(args) -> dict:
     estimate = monte_carlo_block_error(
         args.bit, args.n, args.trials, np.random.default_rng(args.seed), args.workers
     )
-    expected = block_error_probability(args.n) if args.bit == 1 else 0.0
+    chan = ZChannel(args.n)
     # workers is an execution detail: the counts do not depend on it, and
     # omitting it keeps output byte-identical across parallelism degrees.
     return {
@@ -92,7 +91,7 @@ def cmd_block(args) -> dict:
         "count_decoded_one": estimate.count_decoded_one,
         "rate_decoded_one": estimate.rate_decoded_one,
         "error_rate": estimate.error_rate,
-        "expected_error_rate": expected,
+        "expected_error_rate": chan.p_missed_one if args.bit == 1 else chan.p_false_one,
         "stderr_error_rate": estimate.stderr_error_rate,
     }
 

@@ -2,12 +2,9 @@
 
 Basis state |b_{n-1} ... b_1 b_0> maps to the integer sum(b_k * 2**k), so
 qubit 0 is the least-significant bit of the basis index. Gates are applied
-by strided index-pair updates on the amplitude array; the full 2^n x 2^n
-unitary is never materialized. A `StateVector` holds complex128 amplitudes.
-The kernels also take a real float64 ``(2**n, batch)`` array, one column
-per state, as the dense reference executor in the tests uses them. The
-circuit executor in `dsl` does not run these kernels: it samples a
-compiled stabilizer map and holds no amplitudes.
+by strided index-pair updates on the complex128 amplitude array; the full
+2^n x 2^n unitary is never materialized. The circuit executor in `dsl` holds
+no amplitudes: it samples a compiled stabilizer map.
 
 All public operations use value semantics: they return new states and
 leave their inputs untouched.
@@ -183,15 +180,11 @@ class MeasurementResult:
 
 # --- strided kernels -------------------------------------------------------
 #
-# Each kernel mutates a writeable array in place. The first axis is the
-# 2**n amplitude axis and any trailing axes are independent batch entries,
-# so one kernel set serves a batch of states held as one float64
-# (2**n, batch) array and the complex128 buffers of the public
-# operations, which are batch-1 calls.
+# Each kernel mutates a writeable 1-D complex128 amplitude array in place.
 
 
 def _apply_hadamard(amps: np.ndarray, qubit: int) -> None:
-    v = amps.reshape((-1, 2, 1 << qubit) + amps.shape[1:])
+    v = amps.reshape(-1, 2, 1 << qubit)
     lo, hi = v[:, 0], v[:, 1]
     diff = lo - hi  # the one temporary; the rest runs in place
     lo += hi
@@ -200,7 +193,7 @@ def _apply_hadamard(amps: np.ndarray, qubit: int) -> None:
 
 
 def _apply_not(amps: np.ndarray, qubit: int) -> None:
-    v = amps.reshape((-1, 2, 1 << qubit) + amps.shape[1:])
+    v = amps.reshape(-1, 2, 1 << qubit)
     lo = v[:, 0].copy()
     v[:, 0] = v[:, 1]
     v[:, 1] = lo
@@ -209,7 +202,7 @@ def _apply_not(amps: np.ndarray, qubit: int) -> None:
 def _apply_cnot(amps: np.ndarray, control: int, target: int) -> None:
     lo, hi = sorted((control, target))
     # axis 1 holds the bit of qubit ``hi`` and axis 3 that of qubit ``lo``
-    v = amps.reshape((-1, 2, 1 << (hi - lo - 1), 2, 1 << lo) + amps.shape[1:])
+    v = amps.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
     t0, t1 = (v[:, 1, :, 0], v[:, 1, :, 1]) if control == hi else (v[:, 0, :, 1], v[:, 1, :, 1])
     tmp = t0.copy()
     t0[...] = t1
@@ -220,39 +213,14 @@ def _apply_cnot(amps: np.ndarray, control: int, target: int) -> None:
 _KERNELS = {"h": _apply_hadamard, "x": _apply_not, "cnot": _apply_cnot}
 
 
-def _born_probabilities(amps: np.ndarray, qubit: int) -> tuple[np.ndarray, np.ndarray]:
-    """Squared-magnitude mass on each branch of ``qubit``, per batch entry.
-
-    Real arrays hold states reached from the ground state by H, X, CNOT and
-    measurement, all Clifford: each of their Born probabilities is exactly
-    0, 1/2 or 1, so the sum is rounded to that value and the roundoff
-    dropped.
-    """
-    v = amps.reshape((-1, 2, 1 << qubit) + amps.shape[1:])
-    if np.iscomplexobj(v):
-        mag = v.real**2 + v.imag**2
-        return mag[:, 0].sum(axis=(0, 1)), mag[:, 1].sum(axis=(0, 1))
-    p0 = np.rint(2 * (v[:, 0] ** 2).sum(axis=(0, 1))) / 2
-    return p0, 1.0 - p0
-
-
-def _measure(amps: np.ndarray, qubit: int, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Measure ``qubit`` on every column of ``amps`` in place, one uniform each.
-
-    The outcome is 0 iff ``u < p0``, except that a branch below
-    MIN_BRANCH_PROBABILITY is never selected, whatever the draw says.
-    Returns the outcome bits as a bool array and the Born probability
-    of each drawn outcome; each column is collapsed and renormalized.
-    """
-    p0, p1 = _born_probabilities(amps, qubit)
-    ones = (p0 < MIN_BRANCH_PROBABILITY) | ((u >= p0) & (p1 >= MIN_BRANCH_PROBABILITY))
-    probability = np.where(ones, p1, p0)
-    scale = 1.0 / np.sqrt(probability)
-    v = amps.reshape((-1, 2, 1 << qubit) + amps.shape[1:])
-    v[:, 0] *= scale * ~ones  # columns that measured 1 lose their 0-branch
-    v[:, 1] *= scale * ones
-    amps += 0.0  # x * 0.0 is -0.0 for x < 0; every zero comes out +0.0
-    return ones, probability
+def _collapse(amps: np.ndarray, qubit: int, outcome: int, probability: float) -> StateVector:
+    """Project ``amps`` onto ``outcome`` of ``qubit`` in place and renormalize
+    by the branch's Born ``probability``."""
+    v = amps.reshape(-1, 2, 1 << qubit)
+    v[:, outcome] *= 1.0 / math.sqrt(probability)
+    v[:, 1 - outcome] = 0.0
+    amps += 0.0  # x * s keeps the sign of a zero part of x; every zero comes out +0.0
+    return StateVector._trusted(amps)
 
 
 # --- public operations -----------------------------------------------------
@@ -296,8 +264,9 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
 def outcome_distribution(state: StateVector, qubit: int) -> tuple[float, float]:
     """Born-rule probabilities (p0, p1) for measuring ``qubit``."""
     _check_qubit(state, qubit)
-    p0, p1 = _born_probabilities(state.amplitudes, qubit)
-    return float(p0), float(p1)
+    amps = state.amplitudes
+    mag = (amps.real**2 + amps.imag**2).reshape(-1, 2, 1 << qubit)
+    return float(mag[:, 0].sum()), float(mag[:, 1].sum())
 
 
 def collapse_qubit(state: StateVector, qubit: int, outcome: int) -> StateVector:
@@ -305,33 +274,28 @@ def collapse_qubit(state: StateVector, qubit: int, outcome: int) -> StateVector:
 
     Raises if the requested branch carries less than MIN_BRANCH_PROBABILITY.
     """
-    _check_qubit(state, qubit)
+    probabilities = outcome_distribution(state, qubit)
     outcome = _bit(outcome, "outcome")
-    p0, p1 = outcome_distribution(state, qubit)
-    probability = p1 if outcome else p0
+    probability = probabilities[outcome]
     if probability < MIN_BRANCH_PROBABILITY:
         raise ValueError(
             f"cannot collapse qubit {qubit} onto outcome {outcome}: "
             f"branch probability {probability!r} is below {MIN_BRANCH_PROBABILITY}"
         )
-    amps = state.amplitudes.copy()
-    # A draw of 0 selects outcome 0 and one of inf selects outcome 1, since
-    # the requested branch is above MIN_BRANCH_PROBABILITY.
-    _measure(amps[:, None], qubit, np.array([np.inf if outcome else 0.0]))
-    return StateVector._trusted(amps)
+    return _collapse(state.amplitudes.copy(), qubit, outcome, probability)
 
 
 def measure_qubit(state: StateVector, qubit: int, rng: RandomSource) -> MeasurementResult:
     """Measure one qubit in the computational basis, with collapse.
 
-    Exactly one uniform draw is consumed per call, whatever the state
-    contents, so seeded streams replay identically.
+    Exactly one uniform ``u`` is drawn per call, whatever the state
+    contents, so seeded streams replay identically. The outcome is 0 iff
+    ``u < p0``, except that a branch below MIN_BRANCH_PROBABILITY is never
+    selected, whatever the draw says.
     """
-    _check_qubit(state, qubit)
-    amps = state.amplitudes.copy()
-    ones, probability = _measure(amps[:, None], qubit, np.array([rng.random()]))
-    return MeasurementResult(
-        outcome=int(ones[0]),
-        probability=float(probability[0]),
-        post_state=StateVector._trusted(amps),
-    )
+    p0, p1 = outcome_distribution(state, qubit)
+    u = rng.random()
+    outcome = int(p0 < MIN_BRANCH_PROBABILITY or (u >= p0 and p1 >= MIN_BRANCH_PROBABILITY))
+    probability = p1 if outcome else p0
+    post_state = _collapse(state.amplitudes.copy(), qubit, outcome, probability)
+    return MeasurementResult(outcome, probability, post_state)

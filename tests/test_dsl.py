@@ -29,11 +29,11 @@ from qsignal import (
     parse,
     render,
 )
-from qsignal import OutcomeDistribution, dsl
+from qsignal import OutcomeDistribution, dsl, statevector
 from qsignal.channel import _receiver_distribution
 from qsignal.cli import cmd_run
 from qsignal.dsl import MAX_TRIALS
-from qsignal.statevector import _KERNELS, _OPERAND_COUNTS, _born_probabilities, _measure
+from qsignal.statevector import _KERNELS, _OPERAND_COUNTS
 
 import dense
 
@@ -326,20 +326,22 @@ def test_executor_born_probabilities_are_exact(circuit, seed):
     # H, X and CNOT are Clifford: every state is a stabilizer state
     rng = np.random.default_rng(seed)
     for amps, qubit in dense.evolve(circuit, 8):
-        p0, p1 = _born_probabilities(amps, qubit)
+        p0, p1 = dense.born(amps, qubit)
         assert set(p0.tolist()) <= {0.0, 0.5, 1.0}
         assert (p0 + p1 == 1.0).all()
-        _measure(amps, qubit, rng.random(8))
+        dense.measure(amps, qubit, rng.random(8))
 
 
 def test_executor_gates_are_clifford():
-    # _born_probabilities rounds dense probabilities to 0, 1/2 or 1, and
+    # the dense oracle's born rounds its probabilities to 0, 1/2 or 1, and
     # the compiled executor takes every outcome to be a fair coin or
     # determined: both are exact only while every gate is Clifford. The
-    # parser, the dense kernels, GateKind and _compile share one gate set.
+    # parser, the statevector kernels, the oracle's gates, GateKind and
+    # _compile share one gate set.
     gates = {"h": 1, "x": 1, "cnot": 2}
     assert {op: n for op, n in dsl._ARITY.items() if op not in ("qubits", "measure")} == gates
-    assert {op: len(inspect.signature(k).parameters) - 1 for op, k in _KERNELS.items()} == gates
+    for kernels in (_KERNELS, dense.GATES):
+        assert {op: len(inspect.signature(k).parameters) - 1 for op, k in kernels.items()} == gates
     assert {kind.value: _OPERAND_COUNTS[kind.value] for kind in GateKind} == gates
     compiled = set()
     for op in [*gates, "swap", "cz", "z", "y", "s", "t"]:
@@ -378,6 +380,29 @@ def test_compiled_executor_matches_the_dense_oracle(circuit, seed, shots):
     last = records[-1]
     assert _receiver_distribution(outcomes) == OutcomeDistribution(
         float(weights[~last].sum()), float(weights[last].sum()))
+
+
+@pytest.mark.parametrize("path", [CIRCUITS / "protocol_send1.qc", GOLDEN / "mixed12.qc"], ids=lambda p: p.stem)
+def test_dense_oracle_runs_no_statevector_code(monkeypatch, path):
+    # the oracle shares no code with the dense operations it checks: with
+    # every statevector kernel and the collapse broken, it still agrees
+    # with the compiled map
+    def broken(*args):
+        raise AssertionError("statevector code ran")
+
+    for op in statevector._KERNELS:
+        monkeypatch.setitem(statevector._KERNELS, op, broken)
+    monkeypatch.setattr(statevector, "_collapse", broken)
+    with pytest.raises(AssertionError, match="statevector code ran"):
+        measure_qubit(apply_gate(new_ground_state(1), hadamard(0)), 0, np.random.default_rng(0))
+    circuit = load(path)
+    outcomes = dsl._compile(circuit)
+    rng = np.random.default_rng(5)
+    uniforms = rng.random((len(outcomes), 64))
+    uniforms = np.where(rng.random(uniforms.shape) < 0.5, rng.choice(EDGE_DRAWS, size=uniforms.shape), uniforms)
+    assert dense.run_batch(circuit, uniforms).tobytes() == dsl._draw(outcomes, uniforms).tobytes()
+    if len(outcomes) <= 12:  # the enumeration holds all 2**m records
+        assert dense.branches(circuit)[1].sum() == 1.0
 
 
 def test_executor_rejects_unknown_gates():

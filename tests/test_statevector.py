@@ -22,7 +22,7 @@ from qsignal import (
 )
 from qsignal.dsl import parse
 from qsignal import statevector
-from qsignal.statevector import MIN_BRANCH_PROBABILITY, _measure
+from qsignal.statevector import MIN_BRANCH_PROBABILITY
 
 import dense
 
@@ -359,9 +359,9 @@ def test_collapse_qubit_rejects_bad_outcome():
             collapse_qubit(new_ground_state(2), 0, outcome)
 
 
-def test_batched_measure_matches_measure_qubit():
-    # measure_qubit is a batch-1 call of _measure: one batched call over
-    # many columns must give each column exactly what measure_qubit gives it
+def test_measure_qubit_edge_draws_follow_the_draw_rule():
+    # outcome 0 iff u < p0, except that a branch below the floor is never
+    # selected; the post-state is collapse_qubit's, byte for byte
     rng = np.random.default_rng(17)
     qubit = 1
     tiny = 0.1 * MIN_BRANCH_PROBABILITY
@@ -370,26 +370,48 @@ def test_batched_measure_matches_measure_qubit():
         StateVector([math.sqrt(1 - tiny), 0, math.sqrt(tiny), 0]),  # p1 below the floor
         StateVector([math.sqrt(tiny), 0, math.sqrt(1 - tiny), 0]),  # p0 below the floor
     ]
-    rows = [
-        (state, float(u))
-        for state in states
-        for p0 in [outcome_distribution(state, qubit)[0]]
-        for u in (0.0, p0, np.nextafter(p0, 0.0), 0.5, 1.0 - 1e-16)
-    ]
-    batch = np.array([state.amplitudes for state, _ in rows]).T.copy()
-    ones, probability = _measure(batch, qubit, np.array([u for _, u in rows]))
-    assert ones.any() and not ones.all()
-    for k, (state, u) in enumerate(rows):
-        result = measure_qubit(state, qubit, FakeRandom(u))
-        assert result.outcome == int(ones[k])
-        assert result.probability >= MIN_BRANCH_PROBABILITY
-        assert result.probability == probability[k]
-        assert np.array_equal(result.post_state.amplitudes, batch[:, k])
+    drawn = set()
+    for state in states:
+        p0, p1 = outcome_distribution(state, qubit)
+        for u in (0.0, p0, np.nextafter(p0, 0.0), 0.5, 1.0 - 1e-16):
+            if p1 < MIN_BRANCH_PROBABILITY:
+                outcome = 0
+            elif p0 < MIN_BRANCH_PROBABILITY:
+                outcome = 1
+            else:
+                outcome = int(u >= p0)
+            result = measure_qubit(state, qubit, FakeRandom(float(u)))
+            assert result.outcome == outcome
+            assert result.probability >= MIN_BRANCH_PROBABILITY
+            assert result.probability == (p0, p1)[outcome]
+            collapsed = collapse_qubit(state, qubit, outcome)
+            assert result.post_state.amplitudes.tobytes() == collapsed.amplitudes.tobytes()
+            drawn.add(outcome)
+    assert drawn == {0, 1}
+
+
+def test_collapse_zeros_come_out_positive():
+    # the kept branch holds -0.0 real and imaginary parts, and x * s keeps
+    # them; every zero of the post-state is +0.0 and every other part is
+    # a * (1 / sqrt(p)) bit for bit
+    a = np.array([complex(-0.0, 0.6), complex(0.48, -0.0), complex(-0.0, -0.0), complex(-0.64, 0.0)])
+    state = StateVector(a)
+    for qubit in (0, 1):
+        for outcome in (0, 1):
+            p = outcome_distribution(state, qubit)[outcome]
+            kept = (np.arange(4) >> qubit & 1) == outcome
+            expected = np.where(kept, a * (1.0 / np.sqrt(p)), 0.0).view(np.float64)
+            measured = measure_qubit(state, qubit, FakeRandom(1.0 - 1e-16 if outcome else 0.0))
+            assert measured.outcome == outcome
+            for post in (measured.post_state, collapse_qubit(state, qubit, outcome)):
+                parts = post.amplitudes.view(np.float64)
+                assert not np.signbit(parts[parts == 0.0]).any()
+                assert np.array_equal(parts, expected)  # equal floats other than zeros are equal bits
 
 
 def test_dtype_boundary_real_executor_complex_statevector():
-    # the dense executor (the reference in tests/dense.py) runs float64
-    # amplitudes with the amplitude axis first
+    # the dense oracle (tests/dense.py) runs its own gates on float64
+    # amplitudes, amplitude axis first and one column per shot
     circuit = parse("qubits 3\nh 2\ncnot 2 0\nmeasure 0\nx 1\nmeasure 1")
     for amps, _ in dense.evolve(circuit, 5):
         assert amps.dtype == np.float64 and amps.shape == (8, 5)
