@@ -73,8 +73,6 @@ from .channel import (  # noqa: E402
     monte_carlo_block_error,
     monte_carlo_distribution,
     mutual_information,
-    z_channel_capacity,
-    z_channel_mutual_information,
 )
 from .dsl import (  # noqa: E402
     Circuit,
@@ -142,6 +140,4 @@ __all__ = [
     "run_block",
     "run_pair",
     "transmit_message",
-    "z_channel_capacity",
-    "z_channel_mutual_information",
 ]

@@ -3,17 +3,19 @@
 Both sides read the protocol circuit's compiled map (`dsl._compile`).
 Exact side: the receiver's distribution read off the map's last entry,
 for the collapse model and for a fully unitary ancilla variant of the
-sender's measurement, and the asymmetric binary
-(Z) channel model with its mutual information and closed-form capacity.
+sender's measurement, and the binary channel that OR-decoded blocks of
+the two protocol circuits induce, with its mutual information and
+closed-form capacity.
 Statistical side: a chunked Monte Carlo engine that samples the circuit,
 many trials at once. An OR-decoded block reads only the receiver's bits,
 so a block chunk computes only the uniforms they read and skips the
 sender's; each skipped uniform keeps its stream position (`_skip`), so
 counts are those of drawing every uniform.
 
-Channel orientation: sending 0 is noiseless (the receiver can never
-decode 1), sending 1 is missed when every pair in the block comes up 0,
-which happens with probability 0.5**n_pairs.
+The channel's crossovers are read off the same compiled circuits
+(`protocol._COMPILED_CIRCUITS`): a block decodes 0 only when every one of
+its pairs leaves the receiver at 0, so each crossover is a power of the
+receiver's exact P(0) for that sent bit.
 """
 
 from __future__ import annotations
@@ -78,9 +80,11 @@ class EmpiricalDistribution:
 class ZChannel:
     """Classical channel induced by OR-decoded blocks of ``n_pairs`` pairs.
 
-    Crossover probabilities are derived, not stored: decoding 1 on a
-    sent 0 is impossible, and a sent 1 is missed with probability
-    0.5**n_pairs.
+    Crossover probabilities are derived, not stored, from the receiver's
+    exact distribution (`exact_distribution`) for each sent bit: a block
+    decodes 0 when all its pairs read 0, so ``p_false_one`` is
+    1 - P(0 | send 0)**n_pairs and ``p_missed_one`` is P(0 | send 1)**n_pairs.
+    For the paper's circuits these are 0 and 0.5**n_pairs, a Z channel.
     """
 
     n_pairs: int
@@ -88,13 +92,20 @@ class ZChannel:
     def __post_init__(self):
         _check_count("n_pairs", self.n_pairs)
 
+    def _all_zero(self, action: AliceAction) -> float:
+        # The compiled map gives the receiver P(0) = 0, 1/2 or 1, so the
+        # power is exact, and from 1075 pairs on it is 0.0 (1/2**1075 rounds
+        # to 0): capping the exponent there keeps the float and stops a huge
+        # int exponent from raising OverflowError.
+        return exact_distribution(action).p_bob_0 ** min(self.n_pairs, 1075)
+
     @property
     def p_false_one(self) -> float:
-        return 0.0
+        return 1.0 - self._all_zero(AliceAction.SKIP)
 
     @property
     def p_missed_one(self) -> float:
-        return block_error_probability(self.n_pairs)
+        return self._all_zero(AliceAction.MEASURE)
 
 
 @dataclass(frozen=True)
@@ -159,12 +170,12 @@ def exact_distribution(action: AliceAction | int) -> OutcomeDistribution:
 
 
 def block_error_probability(n_pairs: int) -> float:
-    """Probability that a sent 1 decodes as 0: all pairs silent, 0.5**n.
+    """Probability that a sent 1 decodes as 0, every pair silent:
+    ``ZChannel(n_pairs).p_missed_one``, 0.5**n_pairs for the paper's circuits.
 
     Exact at any int count, 0.0 past the smallest float; a bool or a
     non-integral count raises TypeError."""
-    _check_count("n_pairs", n_pairs)
-    return math.ldexp(1.0, -n_pairs)
+    return ZChannel(n_pairs).p_missed_one
 
 
 def ancilla_model_distribution(action: AliceAction | int) -> OutcomeDistribution:
@@ -192,44 +203,30 @@ def binary_entropy(p: float) -> float:
     return -(p * math.log2(p) + (1.0 - p) * math.log2(1.0 - p))
 
 
-def z_channel_mutual_information(p_missed_one: float, prior_p1: float) -> float:
-    """I(X;Y) in bits for a Z channel with the given 1->0 miss probability."""
-    if not 0.0 <= p_missed_one <= 1.0:
-        raise ValueError(f"p_missed_one must lie in [0, 1], got {p_missed_one!r}")
+def mutual_information(channel: ZChannel, prior_p1: float) -> float:
+    """I(X;Y) in bits for the induced channel under the input prior P(X=1)."""
     if not 0.0 <= prior_p1 <= 1.0:
         raise ValueError(f"prior_p1 must lie in [0, 1], got {prior_p1!r}")
-    p_y1 = prior_p1 * (1.0 - p_missed_one)
-    return binary_entropy(p_y1) - prior_p1 * binary_entropy(p_missed_one)
-
-
-def mutual_information(channel: ZChannel, prior_p1: float) -> float:
-    """I(X;Y) in bits for the induced channel under the given input prior."""
-    return z_channel_mutual_information(channel.p_missed_one, prior_p1)
-
-
-def z_channel_capacity(p_missed_one: float) -> tuple[float, float]:
-    """(capacity in bits, maximizing prior P(X=1)) for a Z channel.
-
-    Closed form (Tallini, Al-Bassam & Bose, ISIT 2002): the mutual
-    information is strictly concave in the prior for miss probabilities
-    q in (0, 1) and peaks at 1 / ((1-q)(1 + 2**(H2(q)/(1-q)))). The
-    degenerate endpoints are handled directly: a perfect channel peaks
-    at prior 1/2, a dead one carries nothing.
-    """
-    if not 0.0 <= p_missed_one <= 1.0:
-        raise ValueError(f"p_missed_one must lie in [0, 1], got {p_missed_one!r}")
-    if p_missed_one == 0.0:
-        return 1.0, 0.5
-    if p_missed_one == 1.0:
-        return 0.0, 0.0
-    q = p_missed_one
-    prior = 1.0 / ((1.0 - q) * (1.0 + 2.0 ** (binary_entropy(q) / (1.0 - q))))
-    return z_channel_mutual_information(q, prior), prior
+    a, q = channel.p_false_one, channel.p_missed_one
+    p_y1 = (1.0 - prior_p1) * a + prior_p1 * (1.0 - q)
+    return (binary_entropy(p_y1) - (1.0 - prior_p1) * binary_entropy(a)
+            - prior_p1 * binary_entropy(q))
 
 
 def channel_capacity(channel: ZChannel) -> tuple[float, float]:
-    """(capacity in bits, maximizing prior) of the induced channel."""
-    return z_channel_capacity(channel.p_missed_one)
+    """(capacity in bits, maximizing prior P(X=1)) of the induced channel.
+
+    Closed form for a binary channel with crossovers a = P(Y=1 | X=0) and
+    q = P(Y=0 | X=1), a + q != 1 (Silverman, IRE Trans. IT-1, 1955): the
+    mutual information is concave in the prior and peaks where
+    P(Y=1) = 1 / (1 + z), z = 2**((H2(q) - H2(a)) / (1 - a - q)). At a = 0
+    it is the Z-channel form (Tallini, Al-Bassam & Bose, ISIT 2002), and a
+    perfect channel (q = 0 too) peaks at prior 1/2.
+    """
+    a, q = channel.p_false_one, channel.p_missed_one
+    z = 2.0 ** ((binary_entropy(q) - binary_entropy(a)) / (1.0 - a - q))
+    prior = (1.0 - a * (1.0 + z)) / ((1.0 - a - q) * (1.0 + z))
+    return mutual_information(channel, prior), prior
 
 
 # --- vectorized Monte Carlo engine ------------------------------------------

@@ -40,14 +40,16 @@ FORMAT_ENV_VAR = "QSIGNAL_FORMAT"
 _FORMATS = ("json", "csv")
 
 
-def _positive_int(text: str) -> int:
+# argparse names a converter that raises ValueError in its message
+# ("invalid count value: 'abc'"), so the converters carry user-facing names.
+def count(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
     return value
 
 
-def _probability(text: str) -> float:
+def probability(text: str) -> float:
     value = float(text)
     if not 0.0 <= value <= 1.0:
         raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {value}")
@@ -169,28 +171,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_ancilla)
 
     p = sub.add_parser("block", parents=[common], help="Monte Carlo OR-decoded block statistics")
-    p.add_argument("--n", type=_positive_int, required=True, help="pairs per block")
+    p.add_argument("--n", type=count, required=True, help="pairs per block")
     p.add_argument("--bit", type=int, choices=(0, 1), required=True)
-    p.add_argument("--trials", type=_positive_int, default=100_000)
+    p.add_argument("--trials", type=count, default=100_000)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--workers", type=count, default=1)
     p.set_defaults(handler=cmd_block)
 
-    p = sub.add_parser("channel", parents=[common], help="induced Z-channel information measures")
-    p.add_argument("--n", type=_positive_int, required=True, help="pairs per block")
-    p.add_argument("--prior", type=_probability, default=None,
+    p = sub.add_parser("channel", parents=[common], help="information measures of the induced block channel")
+    p.add_argument("--n", type=count, required=True, help="pairs per block")
+    p.add_argument("--prior", type=probability, default=None,
                    help="input prior P(send 1); omit to report capacity")
     p.set_defaults(handler=cmd_channel)
 
     p = sub.add_parser("run", parents=[common], help="interpret a .qc circuit file")
     p.add_argument("file")
-    p.add_argument("--shots", type=_positive_int, default=10_000)
+    p.add_argument("--shots", type=count, default=10_000)
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(handler=cmd_run)
 
     p = sub.add_parser("transmit", parents=[common], help="send a bit string through OR-decoded blocks")
     p.add_argument("--message", type=_bit_string, required=True)
-    p.add_argument("--n", type=_positive_int, default=10, help="pairs per block")
+    p.add_argument("--n", type=count, default=10, help="pairs per block")
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(handler=cmd_transmit)
 

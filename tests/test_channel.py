@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import threading
@@ -22,11 +23,10 @@ from qsignal import (
     outcome_distribution,
     prepare_pair,
     restore,
-    z_channel_capacity,
-    z_channel_mutual_information,
 )
 from qsignal import channel, dsl, protocol
 from qsignal.channel import CHUNK_TRIALS, MAX_TRIALS, binary_entropy
+from qsignal.cli import main
 from qsignal.protocol import MAX_PAIRS
 
 from conftest import joint_counts
@@ -92,7 +92,7 @@ def test_z_channel_fields():
     assert chan.p_missed_one == 0.0009765625
     with pytest.raises(ValueError):
         ZChannel(0)
-    # a count must be an int before it reaches math.ldexp
+    # a count must be an int before it becomes an exponent
     for n in (2.5, 1.0, True, "3"):
         with pytest.raises(TypeError):
             ZChannel(n)
@@ -411,7 +411,7 @@ def test_mutual_information_matches_oracle_on_grid():
 
 
 def test_mutual_information_noiseless_limit():
-    assert z_channel_mutual_information(0.0, 0.5) == 1.0
+    assert mutual_information(ZChannel(10**400), 0.5) == 1.0
 
 
 def test_mutual_information_degenerate_priors():
@@ -437,14 +437,76 @@ def test_binary_entropy_rejects_probabilities_outside_the_unit_interval(p):
 
 def test_mutual_information_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        z_channel_mutual_information(-0.1, 0.5)
-    with pytest.raises(ValueError):
         mutual_information(ZChannel(1), 1.5)
 
 
 def test_capacity_degenerate_channels():
-    assert z_channel_capacity(0.0) == (1.0, 0.5)
-    assert z_channel_capacity(1.0) == (0.0, 0.0)
+    # past the smallest float the miss probability is 0.0: a perfect channel
+    assert channel_capacity(ZChannel(10**400)) == (1.0, 0.5)
+
+
+def z_channel_mutual_information(p_missed_one, prior_p1):
+    """Reference: Z-channel I(X;Y) from a bare miss probability, in its own float steps."""
+    p_y1 = prior_p1 * (1.0 - p_missed_one)
+    return binary_entropy(p_y1) - prior_p1 * binary_entropy(p_missed_one)
+
+
+def z_channel_capacity(p_missed_one):
+    """Reference: Z-channel (capacity, prior) from a bare miss probability (Tallini et al.)."""
+    if p_missed_one == 0.0:
+        return 1.0, 0.5
+    if p_missed_one == 1.0:
+        return 0.0, 0.0
+    q = p_missed_one
+    prior = 1.0 / ((1.0 - q) * (1.0 + 2.0 ** (binary_entropy(q) / (1.0 - q))))
+    return z_channel_mutual_information(q, prior), prior
+
+
+def test_information_measures_match_the_z_channel_reference_bytes():
+    # the binary-channel forms at a = 0 take the Z-channel forms' float steps
+    priors = [i / 20 for i in range(21)]
+    for n_pairs in [*range(1, 1101), 10**400]:
+        chan = ZChannel(n_pairs)
+        q = math.ldexp(1.0, -n_pairs)
+        assert (chan.p_false_one, chan.p_missed_one) == (0.0, q)
+        assert channel_capacity(chan) == z_channel_capacity(q)
+        assert [mutual_information(chan, p) for p in priors] == [
+            z_channel_mutual_information(q, p) for p in priors]
+
+
+def brute_force_capacity(p_false_one, p_missed_one, priors):
+    """Oracle: the largest I(X;Y) over ``priors``, each from its joint table."""
+    px = np.stack([1.0 - priors, priors])
+    transitions = np.array([[1.0 - p_false_one, p_false_one],
+                            [p_missed_one, 1.0 - p_missed_one]])
+    joint = px[:, None, :] * transitions[:, :, None]  # (x, y, prior)
+    product = px[:, None, :] * joint.sum(axis=0)[None, :, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(joint > 0.0, joint * np.log2(joint / product), 0.0)
+    return float(terms.sum(axis=(0, 1)).max())
+
+
+def test_channel_follows_the_compiled_circuits(monkeypatch, capsys):
+    # with the two protocol circuits swapped, sending 0 is the noisy input
+    # and sending 1 never reaches the receiver: the same channel, outputs relabelled
+    unswapped = {n: channel_capacity(ZChannel(n)) for n in (1, 2, 10)}
+    circuits = protocol._COMPILED_CIRCUITS
+    skip, measure = circuits[AliceAction.SKIP], circuits[AliceAction.MEASURE]
+    monkeypatch.setitem(circuits, AliceAction.SKIP, measure)
+    monkeypatch.setitem(circuits, AliceAction.MEASURE, skip)
+    priors = np.linspace(0.0, 1.0, 100_001)
+    for n_pairs, (capacity, prior) in unswapped.items():
+        chan = ZChannel(n_pairs)
+        assert (chan.p_false_one, chan.p_missed_one) == (1 - 2**-n_pairs, 1.0)
+        assert block_error_probability(n_pairs) == 1.0
+        assert channel_capacity(chan) == (capacity, 1.0 - prior)
+        best = brute_force_capacity(chan.p_false_one, chan.p_missed_one, priors)
+        assert best - 1e-12 <= capacity < best + 1e-9
+
+    assert main(["block", "--n", "3", "--bit", "0", "--trials", "4000", "--seed", "1"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["expected_error_rate"] == 0.875
+    assert abs(record["error_rate"] - 0.875) < 4 * math.sqrt(0.875 * 0.125 / 4000)
 
 
 def test_capacity_matches_closed_form():

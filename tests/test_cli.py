@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -155,6 +156,21 @@ def test_channel_rejects_prior_outside_unit_interval(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["channel", "--n", "1", "--prior", "1.5"])
     assert excinfo.value.code != 0
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["block", "--n", "abc", "--bit", "1", "--seed", "0"], "--n"),
+    (["block", "--n", "1", "--bit", "1", "--seed", "0", "--trials", "1e3"], "--trials"),
+    (["channel", "--n", "1", "--prior", "x"], "--prior"),
+    (["run", BELL, "--seed", "0", "--shots", "many"], "--shots"),
+])
+def test_bad_values_name_the_flag_not_a_private_function(capsys, argv, flag):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    err = capsys.readouterr().err
+    assert excinfo.value.code == 2
+    assert f"argument {flag}: invalid " in err
+    assert not re.search(r"\b_\w", err), err
 
 
 def test_run_reports_histogram(capsys, tmp_path):
