@@ -31,8 +31,6 @@ from .statevector import (  # noqa: E402
     MAX_QUBITS,
     MIN_BRANCH_PROBABILITY,
     NORM_ATOL,
-    GateKind,
-    GateOp,
     MeasurementResult,
     RandomSource,
     StateVector,
@@ -98,8 +96,6 @@ __all__ = [
     "BlockResult",
     "Circuit",
     "EmpiricalDistribution",
-    "GateKind",
-    "GateOp",
     "Instruction",
     "MAX_QUBITS",
     "MIN_BRANCH_PROBABILITY",

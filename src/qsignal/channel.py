@@ -90,7 +90,7 @@ class ZChannel:
     n_pairs: int
 
     def __post_init__(self):
-        _check_count("n_pairs", self.n_pairs)
+        object.__setattr__(self, "n_pairs", _check_count("n_pairs", self.n_pairs))
 
     def _all_zero(self, action: AliceAction) -> float:
         # The compiled map gives the receiver P(0) = 0, 1/2 or 1, so the
@@ -311,7 +311,7 @@ def _pinner(threads: int):
 
 def _map_chunks(fn, trials: int, rng: np.random.Generator, workers: int) -> list:
     """Apply ``fn(size, stream)`` over fixed-size chunks of ``trials`` on a thread pool."""
-    _check_count("workers", workers, _MAX_WORKERS)
+    workers = _check_count("workers", workers, _MAX_WORKERS)
     sizes = _chunk_sizes(trials)
     streams = rng.spawn(len(sizes))
     threads = min(workers, len(sizes))
@@ -332,7 +332,8 @@ def monte_carlo_distribution(
     any ``workers`` setting. A one-pair block decodes 1 exactly when the
     receiver sees 1, so this counts one-pair blocks.
     """
-    count_bob_1 = monte_carlo_block_error(action, 1, trials, rng, workers).count_decoded_one
+    estimate = monte_carlo_block_error(action, 1, trials, rng, workers)
+    trials, count_bob_1 = estimate.blocks, estimate.count_decoded_one
     p1 = count_bob_1 / trials
     p0 = (trials - count_bob_1) / trials
     return EmpiricalDistribution(
@@ -357,7 +358,7 @@ def monte_carlo_block_error(
     decodes their OR, mirroring ``protocol.run_block``.
     """
     action = _action(action)
-    _check_pairs(n_pairs, blocks)
+    n_pairs, blocks = _check_pairs(n_pairs, blocks)
     count = sum(_map_chunks(lambda size, stream: _decoded_ones(
         _COMPILED_CIRCUITS[action], n_pairs, size, stream), blocks, rng, workers))
     return BlockErrorEstimate(

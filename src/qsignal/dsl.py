@@ -17,14 +17,14 @@ extension. All diagnostics carry the offending line number.
 
 from __future__ import annotations
 
-import numbers
+import operator
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .statevector import _OPERAND_COUNTS, _qubit_count_error, _statement_error
+from .statevector import _OPERAND_COUNTS, Instruction, _qubit_count_error, _statement_error
 
 
 class ParseError(ValueError):
@@ -35,19 +35,6 @@ class ParseError(ValueError):
         if line is not None:
             message = f"{message}, line {line}"
         super().__init__(message)
-
-
-@dataclass(frozen=True)
-class Instruction:
-    """One executable statement; ``line`` records where it was parsed.
-
-    Line numbers are bookkeeping, not identity: comparisons ignore them
-    so a rendered-and-reparsed circuit is equal to its source circuit.
-    """
-
-    op: str
-    args: tuple[int, ...]
-    line: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -93,14 +80,19 @@ _Outcome = tuple[int, tuple[int, ...]] | None
 MAX_TRIALS = 1 << 32
 
 
-def _check_count(name: str, value, maximum: int | None = None) -> None:
-    """Check that ``value`` is an int from 1 to ``maximum``, unbounded if None;
-    a bool or a float raises TypeError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+def _check_count(name: str, value, maximum: int | None = None) -> int:
+    """``value`` as a Python int from 1 to ``maximum``, unbounded if None, read
+    once with ``operator.index``; a bool or a float raises TypeError."""
+    try:
+        count = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        count = None
+    if count is None:
         raise TypeError(f"{name} must be an int, got {value!r}")
-    if not 1 <= value <= (value if maximum is None else maximum):
+    if not 1 <= count <= (count if maximum is None else maximum):
         rule = ">= 1" if maximum is None else f"between 1 and {maximum}"
         raise ValueError(f"{name} must be {rule}, got {value}")
+    return count
 
 
 def parse(text: str) -> Circuit:
@@ -257,7 +249,7 @@ def _sample(outcomes: tuple[_Outcome, ...], shots: int, rng: np.random.Generator
     A batch draws at most `_BATCH_UNIFORMS` uniforms; draws are
     sequential, so the stream does not depend on the batch size.
     """
-    _check_count("shots", shots, MAX_TRIALS)
+    shots = _check_count("shots", shots, MAX_TRIALS)
     batch = max(1, _BATCH_UNIFORMS // max(1, len(outcomes)))
     for start in range(0, shots, batch):
         yield _draw(outcomes, rng.random((min(batch, shots - start), len(outcomes))).T)

@@ -38,8 +38,9 @@ from .statevector import (
 
 ALICE_QUBIT = 0
 BOB_QUBIT = 1
-# The pair from the ground state: Hadamard on the receiver's qubit, then CNOT
-# with the receiver's qubit as control. Each gate is its own inverse.
+# The pair from the ground state, as circuit statements: Hadamard on the
+# receiver's qubit, then CNOT with the receiver's qubit as control. Each gate
+# is its own inverse.
 _PREPARE = (hadamard(BOB_QUBIT), cnot(BOB_QUBIT, ALICE_QUBIT))
 # Pairs per block, checked with MAX_TRIALS by `_check_pairs` before any draw or spawn.
 MAX_PAIRS = 1 << 16
@@ -102,9 +103,8 @@ def prepare_pair() -> StateVector:
 
 def _protocol_circuit(action: AliceAction) -> Circuit:
     """One pair's run as a circuit, equal to ``circuits/protocol_send{bit}.qc``."""
-    prepare = tuple(Instruction(gate.kind.value, gate.qubits) for gate in _PREPARE)
     sender = (Instruction("measure", (ALICE_QUBIT,)),) if action is AliceAction.MEASURE else ()
-    return Circuit(2, (*prepare, *sender, *prepare[::-1], Instruction("measure", (BOB_QUBIT,))))
+    return Circuit(2, (*_PREPARE, *sender, *_PREPARE[::-1], Instruction("measure", (BOB_QUBIT,))))
 
 
 _COMPILED_CIRCUITS = {action: _compile(_protocol_circuit(action)) for action in AliceAction}
@@ -115,10 +115,10 @@ def _action(bit, name: str = "action") -> AliceAction:
     return AliceAction(_bit(bit, name))
 
 
-def _check_pairs(n_pairs: int, blocks: int = 1) -> None:
-    """Check ``blocks`` blocks of ``n_pairs`` pairs against both run-size caps."""
-    _check_count("n_pairs", n_pairs, MAX_PAIRS)
-    _check_count("trials", blocks, MAX_TRIALS // n_pairs)
+def _check_pairs(n_pairs: int, blocks: int = 1) -> tuple[int, int]:
+    """``(n_pairs, blocks)`` as Python ints, checked against both run-size caps."""
+    n_pairs = _check_count("n_pairs", n_pairs, MAX_PAIRS)
+    return n_pairs, _check_count("trials", blocks, MAX_TRIALS // n_pairs)
 
 
 def _require_pair(state: StateVector) -> None:
@@ -181,7 +181,7 @@ def run_block(
     proves the sender measured. Pairs draw their uniforms in turn, the
     sender's before the receiver's, as ``run_pair`` would.
     """
-    _check_pairs(n_pairs)
+    n_pairs, _ = _check_pairs(n_pairs)
     bits = np.hstack([*_sample(_COMPILED_CIRCUITS[_action(action)], n_pairs, rng)])
     outcomes = tuple(bits[-1].astype(int).tolist())
     return BlockResult(n_pairs, outcomes, int(any(outcomes)))
@@ -206,7 +206,7 @@ def transmit_message(
     if not 1 <= len(bits) <= _MAX_MESSAGE_BITS:
         raise ValueError(f"message must have between 1 and {_MAX_MESSAGE_BITS} bits, got {count}")
     actions = [_action(b, f"message bit {i}") for i, b in enumerate(bits)]
-    _check_pairs(n_pairs)
+    n_pairs, _ = _check_pairs(n_pairs)
     streams = rng.spawn(len(actions))
     return [
         run_block(action, n_pairs, stream).decoded_bit

@@ -1,7 +1,8 @@
 """Dense statevector simulation of few-qubit pure states.
 
 Basis state |b_{n-1} ... b_1 b_0> maps to the integer sum(b_k * 2**k), so
-qubit 0 is the least-significant bit of the basis index. Gates are applied
+qubit 0 is the least-significant bit of the basis index. A gate is a
+circuit statement (`Instruction`, the type `dsl` parses into), applied
 by strided index-pair updates on the complex128 amplitude array; the full
 2^n x 2^n unitary is never materialized. The circuit executor in `dsl` holds
 no amplitudes: it samples a compiled stabilizer map.
@@ -12,10 +13,9 @@ leave their inputs untouched.
 
 from __future__ import annotations
 
-import enum
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -100,13 +100,7 @@ class StateVector:
         return f"StateVector(num_qubits={self._num_qubits})"
 
 
-class GateKind(enum.Enum):
-    HADAMARD = "h"
-    NOT = "x"
-    CNOT = "cnot"
-
-
-# Operands of each statement a circuit may hold, by mnemonic (a GateKind's value).
+# Operands of each statement a circuit may hold, by mnemonic.
 _OPERAND_COUNTS = {"h": 1, "x": 1, "cnot": 2, "measure": 1}
 
 
@@ -142,27 +136,36 @@ def _statement_error(op: str, args, num_qubits: int | None, counts=_OPERAND_COUN
 
 
 @dataclass(frozen=True)
-class GateOp:
-    """Symbolic gate instruction, checked as a circuit statement on MAX_QUBITS qubits."""
+class Instruction:
+    """One statement of a circuit: a mnemonic and its qubit operands;
+    ``line`` records where it was parsed.
 
-    kind: GateKind
-    qubits: tuple[int, ...]
+    Line numbers are bookkeeping, not identity: comparisons ignore them
+    so a rendered-and-reparsed circuit is equal to its source circuit.
+    """
 
-    def __post_init__(self):
-        if error := _statement_error(self.kind.value, self.qubits, MAX_QUBITS):
-            raise ValueError(error)
-
-
-def hadamard(qubit: int) -> GateOp:
-    return GateOp(GateKind.HADAMARD, (qubit,))
+    op: str
+    args: tuple[int, ...]
+    line: int = field(default=0, compare=False)
 
 
-def not_gate(qubit: int) -> GateOp:
-    return GateOp(GateKind.NOT, (qubit,))
+def _gate(op: str, *qubits: int) -> Instruction:
+    """The gate statement ``op qubits``, checked as a circuit statement on MAX_QUBITS qubits."""
+    if error := _statement_error(op, qubits, MAX_QUBITS):
+        raise ValueError(error)
+    return Instruction(op, qubits)
 
 
-def cnot(control: int, target: int) -> GateOp:
-    return GateOp(GateKind.CNOT, (control, target))
+def hadamard(qubit: int) -> Instruction:
+    return _gate("h", qubit)
+
+
+def not_gate(qubit: int) -> Instruction:
+    return _gate("x", qubit)
+
+
+def cnot(control: int, target: int) -> Instruction:
+    return _gate("cnot", control, target)
 
 
 @dataclass(frozen=True)
@@ -209,7 +212,7 @@ def _apply_cnot(amps: np.ndarray, control: int, target: int) -> None:
     t1[...] = tmp
 
 
-# Kernels by DSL mnemonic, which is also each GateKind's value.
+# Kernels by gate mnemonic.
 _KERNELS = {"h": _apply_hadamard, "x": _apply_not, "cnot": _apply_cnot}
 
 
@@ -238,11 +241,6 @@ def _bit(value, name: str) -> int:
     return bit
 
 
-def _check_qubit(state: StateVector, qubit: int) -> None:
-    if error := _operand_error(qubit, state.num_qubits):
-        raise ValueError(error)
-
-
 def new_ground_state(num_qubits: int) -> StateVector:
     """The all-zeros computational basis state |0...0>."""
     if error := _qubit_count_error(num_qubits):
@@ -252,18 +250,26 @@ def new_ground_state(num_qubits: int) -> StateVector:
     return StateVector._trusted(amps)
 
 
-def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
-    """Unitarily transformed copy of ``state``; the input is not modified."""
-    for q in gate.qubits:
-        _check_qubit(state, q)
+def apply_gate(state: StateVector, gate: Instruction) -> StateVector:
+    """Unitarily transformed copy of ``state``; the input is not modified.
+
+    ``gate`` is any gate statement (``h``, ``x`` or ``cnot``), a parsed
+    circuit's included, checked as a statement on the state's qubits; a
+    ``measure`` raises ValueError.
+    """
+    if gate.op == "measure":
+        raise ValueError("apply_gate takes a gate, not 'measure'")
+    if error := _statement_error(gate.op, gate.args, state.num_qubits):
+        raise ValueError(error)
     amps = state.amplitudes.copy()
-    _KERNELS[gate.kind.value](amps, *gate.qubits)
+    _KERNELS[gate.op](amps, *gate.args)
     return StateVector._trusted(amps)
 
 
 def outcome_distribution(state: StateVector, qubit: int) -> tuple[float, float]:
     """Born-rule probabilities (p0, p1) for measuring ``qubit``."""
-    _check_qubit(state, qubit)
+    if error := _operand_error(qubit, state.num_qubits):
+        raise ValueError(error)
     amps = state.amplitudes
     mag = (amps.real**2 + amps.imag**2).reshape(-1, 2, 1 << qubit)
     return float(mag[:, 0].sum()), float(mag[:, 1].sum())

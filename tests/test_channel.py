@@ -10,6 +10,7 @@ from qsignal import (
     ALICE_QUBIT,
     BOB_QUBIT,
     AliceAction,
+    OutcomeDistribution,
     StateVector,
     ZChannel,
     ancilla_model_distribution,
@@ -33,6 +34,17 @@ from conftest import joint_counts
 
 
 # --- exact distribution -------------------------------------------------------
+
+
+@pytest.mark.parametrize("p0, p1, message", [
+    (-0.5, 1.5, "probabilities must lie in [0, 1], got -0.5"),
+    (0.5, 1.5, "probabilities must lie in [0, 1], got 1.5"),
+    (0.5, 0.25, "probabilities must sum to 1, got 0.75"),
+])
+def test_outcome_distribution_checks_its_probabilities(p0, p1, message):
+    with pytest.raises(ValueError) as excinfo:
+        OutcomeDistribution(p0, p1)
+    assert str(excinfo.value) == message
 
 
 def test_exact_bit_zero_is_noiseless():
@@ -174,6 +186,21 @@ def test_monte_carlo_block_error_bounds_pairs_before_any_stream():
         with pytest.raises(TypeError, match=f"^{name} must be an int, got {value}$"):
             run()
     assert rng.spawn(1)[0].random() == np.random.default_rng(0).spawn(1)[0].random()
+
+
+def test_numpy_int_counts_give_the_python_int_estimates():
+    # 70001 trials leave a remainder chunk, whose size reaches PCG64.advance
+    # through the skipped sender rows; numpy 2.4 refuses a numpy int there
+    trials = CHUNK_TRIALS + 4465
+    for cast in (np.int64, np.uint32, np.int8):
+        block = monte_carlo_block_error(1, cast(3), np.int64(trials), np.random.default_rng(6),
+                                        workers=cast(2))
+        assert block == monte_carlo_block_error(1, 3, trials, np.random.default_rng(6), workers=2)
+        assert type(block.n_pairs) is int and type(block.blocks) is int
+        dist = monte_carlo_distribution(1, np.int64(trials), np.random.default_rng(6), workers=cast(2))
+        assert dist == monte_carlo_distribution(1, trials, np.random.default_rng(6), workers=2)
+        assert type(dist.trials) is int
+        assert ZChannel(cast(10)) == ZChannel(10) and type(ZChannel(cast(10)).n_pairs) is int
 
 
 def test_one_owner_holds_the_run_size_caps():

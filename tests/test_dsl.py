@@ -14,8 +14,6 @@ from hypothesis import strategies as st
 
 from qsignal import (
     Circuit,
-    GateKind,
-    GateOp,
     Instruction,
     ParseError,
     apply_gate,
@@ -33,7 +31,7 @@ from qsignal import OutcomeDistribution, dsl, statevector
 from qsignal.channel import _receiver_distribution
 from qsignal.cli import cmd_run
 from qsignal.dsl import MAX_TRIALS
-from qsignal.statevector import _KERNELS, _OPERAND_COUNTS
+from qsignal.statevector import _KERNELS
 
 import dense
 
@@ -173,7 +171,7 @@ RESTORE_TYPO = (Instruction("h", (1,)), Instruction("cnot", (1, 0)), Instruction
     # a float operand is a ValueError here, not a TypeError in _compile
     (lambda: Circuit(2, (Instruction("h", (1.0,)),)), "qubit index 1.0 out of range for 2 qubit(s)"),
     (lambda: Circuit(2, (Instruction("h", (True,)),)), "qubit index True out of range for 2 qubit(s)"),
-    (lambda: GateOp(GateKind.HADAMARD, (24,)), "qubit index 24 out of range for 24 qubit(s)"),
+    (lambda: hadamard(24), "qubit index 24 out of range for 24 qubit(s)"),
 ])
 def test_invalid_statements_fail_at_construction(monkeypatch, build, message):
     monkeypatch.setattr(dsl, "_compile", mock.Mock(side_effect=AssertionError("compiled")))
@@ -316,7 +314,7 @@ def test_execute_replays_the_complex_statevector_path(circuit, seed, shots):
                 state = result.post_state
                 bits.append(result.outcome)
             else:
-                state = apply_gate(state, GateOp(GateKind(ins.op), ins.args))
+                state = apply_gate(state, ins)
         assert [m.bit for m in record.measurement_outcomes] == bits
 
 
@@ -336,13 +334,12 @@ def test_executor_gates_are_clifford():
     # the dense oracle's born rounds its probabilities to 0, 1/2 or 1, and
     # the compiled executor takes every outcome to be a fair coin or
     # determined: both are exact only while every gate is Clifford. The
-    # parser, the statevector kernels, the oracle's gates, GateKind and
-    # _compile share one gate set.
+    # parser, the statevector kernels, the oracle's gates and _compile
+    # share one gate set.
     gates = {"h": 1, "x": 1, "cnot": 2}
     assert {op: n for op, n in dsl._ARITY.items() if op not in ("qubits", "measure")} == gates
     for kernels in (_KERNELS, dense.GATES):
         assert {op: len(inspect.signature(k).parameters) - 1 for op, k in kernels.items()} == gates
-    assert {kind.value: _OPERAND_COUNTS[kind.value] for kind in GateKind} == gates
     compiled = set()
     for op in [*gates, "swap", "cz", "z", "y", "s", "t"]:
         try:

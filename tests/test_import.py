@@ -1,7 +1,9 @@
-"""`import qsignal` loads numpy without OpenBLAS's worker threads and leaves
-the environment as it found it. Each case runs in a fresh interpreter,
-since a process loads numpy, and OpenBLAS reads its thread count, once."""
+"""`import qsignal` exports exactly the public names it imports, and loads
+numpy without OpenBLAS's worker threads, leaving the environment as it
+found it. Each OpenBLAS case runs in a fresh interpreter, since a process
+loads numpy, and OpenBLAS reads its thread count, once."""
 
+import ast
 import json
 import os
 import subprocess
@@ -29,6 +31,17 @@ def run_fresh(code: str, **env_vars: str):
     done = subprocess.run([sys.executable, "-c", PRELUDE + code], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
     return json.loads(done.stdout)
+
+
+def test_all_lists_exactly_the_public_names_the_package_imports():
+    tree = ast.parse(Path(qsignal.__file__).read_text())
+    imported = [alias.asname or alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                for alias in node.names if not (alias.asname or alias.name).startswith("_")]
+    assert imported and len(set(imported)) == len(imported)
+    assert len(set(qsignal.__all__)) == len(qsignal.__all__)
+    assert set(qsignal.__all__) == set(imported)
+    assert all(hasattr(qsignal, name) for name in qsignal.__all__)
+    assert not {"GateKind", "GateOp"} & {*qsignal.__all__, *dir(qsignal)}
 
 
 def test_import_leaves_environment_as_it_was():

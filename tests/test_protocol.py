@@ -10,6 +10,8 @@ from qsignal import (
     ALICE_QUBIT,
     BOB_QUBIT,
     AliceAction,
+    BlockResult,
+    ProtocolTrace,
     StateVector,
     Circuit,
     alice_step,
@@ -195,6 +197,13 @@ def test_run_pair_trace_cases_bit_one():
     assert seen == {0, 1}
 
 
+@pytest.mark.parametrize("alice_bit, alice_outcome", [(0, 1), (1, None)])
+def test_protocol_trace_holds_the_senders_outcome_exactly_when_she_measures(alice_bit, alice_outcome):
+    pair = prepare_pair()
+    with pytest.raises(ValueError, match=r"^alice_outcome must be present exactly when alice_bit is 1$"):
+        ProtocolTrace(alice_bit, alice_outcome, 0, pair, pair, pair)
+
+
 def test_run_pair_same_seed_gives_identical_traces():
     a = run_pair(1, np.random.default_rng(6))
     b = run_pair(1, np.random.default_rng(6))
@@ -278,6 +287,16 @@ def test_run_block_decoding_is_or_of_outcomes():
         assert result.n_pairs == 3
         assert len(result.bob_outcomes) == 3
         assert result.decoded_bit == int(any(result.bob_outcomes))
+
+
+@pytest.mark.parametrize("n_pairs, outcomes, decoded, message", [
+    (3, (0, 1), 1, "bob_outcomes length must equal n_pairs"),
+    (2, (0, 1), 0, "decoded_bit must be the OR of bob_outcomes"),
+    (2, (0, 0), 1, "decoded_bit must be the OR of bob_outcomes"),
+])
+def test_block_result_checks_its_fields(n_pairs, outcomes, decoded, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        BlockResult(n_pairs, outcomes, decoded)
 
 
 def test_run_block_single_pair_decode_distribution():

@@ -1,4 +1,5 @@
-"""The README's command-line examples, run from the repo root, print what it shows."""
+"""The README's command-line examples, run from the repo root, and its
+library example print what it shows."""
 
 import json
 import re
@@ -27,6 +28,16 @@ def command_line_examples():
 EXAMPLES = command_line_examples()
 
 
+def library_example():
+    """(code, shown lines) of the "Library" section's Python block; each
+    ``print`` line shows what it prints in its trailing comment."""
+    section = ROOT.joinpath("README.md").read_text().split("\n## Library\n")[1].split("\n## ")[0]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    prints = [line for line in code.splitlines() if line.startswith("print(")]
+    assert prints and all("  # " in line for line in prints)
+    return code, [line.split("  # ", 1)[1] for line in prints]
+
+
 def test_the_readme_shows_every_command_with_output():
     assert [argv[0] for argv, _ in EXAMPLES] == ["exact", "block", "channel", "run", "transmit"]
 
@@ -44,3 +55,9 @@ def test_readme_example_prints_what_it_shows(argv, shown, capsys, monkeypatch):
         assert {key: record[key] for key in shown_keys} == shown_keys
     else:
         assert out == shown
+
+
+def test_readme_library_example_prints_what_it_shows(capsys):
+    code, shown = library_example()
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == shown

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import FakeRandom, random_state
 from qsignal import (
-    GateKind,
-    GateOp,
+    Instruction,
     StateVector,
     apply_gate,
     cnot,
@@ -81,6 +80,22 @@ def test_statevector_rejects_non_finite():
         StateVector([np.nan, 0.0])
     with pytest.raises(ValueError):
         StateVector([np.inf, 0.0])
+
+
+def test_statevector_repr_names_its_qubit_count():
+    assert repr(new_ground_state(3)) == "StateVector(num_qubits=3)"
+
+
+@pytest.mark.parametrize("other, atol, close", [
+    # the same leading amplitudes on a wider register
+    (StateVector([1, 0, 0, 0, 0, 0, 0, 0]), 1e-12, False),
+    (StateVector([math.sqrt(1 - 1e-20), 1e-10, 0, 0]), 1e-9, True),
+    (StateVector([math.sqrt(1 - 1e-20), 1e-10, 0, 0]), 1e-11, False),
+])
+def test_allclose_compares_qubit_counts_then_amplitudes_within_atol(other, atol, close):
+    state = new_ground_state(2)
+    assert state.allclose(other, atol) is close
+    assert other.allclose(state, atol) is close
 
 
 def test_amplitudes_are_read_only():
@@ -188,9 +203,22 @@ def test_gateop_rejects_negative_indices():
 
 def test_gateop_rejects_wrong_arity():
     with pytest.raises(ValueError):
-        GateOp(GateKind.CNOT, (0,))
+        apply_gate(new_ground_state(2), Instruction("cnot", (0,)))
     with pytest.raises(ValueError):
-        GateOp(GateKind.HADAMARD, (0, 1))
+        apply_gate(new_ground_state(2), Instruction("h", (0, 1)))
+
+
+def test_apply_gate_checks_a_statement_against_the_states_qubits():
+    state = new_ground_state(2)
+    with pytest.raises(ValueError, match="^cnot operands must differ$"):
+        apply_gate(state, Instruction("cnot", (1, 1)))
+    with pytest.raises(ValueError, match="^unknown mnemonic 'swap'$"):
+        apply_gate(state, Instruction("swap", (0, 1)))
+    with pytest.raises(ValueError, match="^apply_gate takes a gate, not 'measure'$"):
+        apply_gate(state, Instruction("measure", (0,)))
+    # a gate of a parsed circuit runs as it is, its line number ignored
+    bell = apply_gate(apply_gate(state, Instruction("h", (1,), line=2)), Instruction("cnot", (1, 0), line=3))
+    assert bell.allclose(StateVector([R, 0, 0, R]))
 
 
 def test_apply_gate_rejects_out_of_range_index():
