@@ -137,16 +137,10 @@ class BlockErrorEstimate:
 # --- exact analysis ---------------------------------------------------------
 
 
-def _receiver_bit(outcomes: tuple[_Outcome, ...]) -> tuple[int, tuple[int, ...]]:
-    """The receiver's (last) compiled outcome as ``(constant, sources)``;
-    a fair coin is its own one source."""
-    return (0, (len(outcomes) - 1,)) if outcomes[-1] is None else outcomes[-1]
-
-
 def _receiver_distribution(outcomes: tuple[_Outcome, ...]) -> OutcomeDistribution:
     """Exact distribution of the receiver's bit of a compiled circuit: its
     constant, or a fair coin if it XORs in at least one independent coin."""
-    constant, sources = _receiver_bit(outcomes)
+    constant, sources = outcomes[-1]
     p1 = 0.5 if sources else float(constant)
     return OutcomeDistribution(1.0 - p1, p1)
 
@@ -255,11 +249,11 @@ def _decoded_ones(outcomes: tuple[_Outcome, ...], n_pairs: int, size: int,
     ``p * m + m - 1`` of ``size`` uniforms each, as
     ``stream.random((n_pairs * m, size))`` lays them out for its ``m``
     measurements, but only the rows the receiver's bit reads are
-    computed: its own if it is a fair coin, else its sources (none for
-    send-0). `_skip` passes the others, so every row keeps its position.
+    computed: its sources, its own row if it is a fair coin, none for
+    send-0. `_skip` passes the others, so every row keeps its position.
     """
     m = len(outcomes)
-    constant, sources = _receiver_bit(outcomes)
+    constant, sources = outcomes[-1]
     u = np.empty(size)
     coin = np.empty(size, dtype=bool)
     bit = np.empty(size, dtype=bool)

@@ -49,6 +49,12 @@ def count(text: str) -> int:
     return value
 
 
+def seed(text: str) -> int:
+    if (value := int(text)) < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def probability(text: str) -> float:
     value = float(text)
     if not 0.0 <= value <= 1.0:
@@ -174,7 +180,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=count, required=True, help="pairs per block")
     p.add_argument("--bit", type=int, choices=(0, 1), required=True)
     p.add_argument("--trials", type=count, default=100_000)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=seed, required=True)
     p.add_argument("--workers", type=count, default=1)
     p.set_defaults(handler=cmd_block)
 
@@ -187,13 +193,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", parents=[common], help="interpret a .qc circuit file")
     p.add_argument("file")
     p.add_argument("--shots", type=count, default=10_000)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=seed, required=True)
     p.set_defaults(handler=cmd_run)
 
     p = sub.add_parser("transmit", parents=[common], help="send a bit string through OR-decoded blocks")
     p.add_argument("--message", type=_bit_string, required=True)
     p.add_argument("--n", type=count, default=10, help="pairs per block")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=seed, required=True)
     p.set_defaults(handler=cmd_transmit)
 
     return parser

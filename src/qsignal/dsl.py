@@ -12,7 +12,7 @@ base-10 non-negative integers):
 
 The 'qubits' declaration must appear exactly once, before any other
 statement. Files use UTF-8 text and conventionally carry the `.qc`
-extension. All diagnostics carry the offending line number.
+extension. Every diagnostic but 'missing qubits declaration' names its line.
 """
 
 from __future__ import annotations
@@ -74,8 +74,8 @@ _LINE_BREAK = re.compile(r"\r\n?|\n")
 _MAX_DIGITS = 640
 # `_sample` draws at most this many uniforms (2 MiB) per batch of shots.
 _BATCH_UNIFORMS = 1 << 18
-# A compiled ``measure``: None for a fair coin, else ``(constant, sources)``.
-_Outcome = tuple[int, tuple[int, ...]] | None
+# A compiled ``measure``: ``(constant, sources)``, a fair coin k being ``(0, (k,))``.
+_Outcome = tuple[int, tuple[int, ...]]
 # Runs per call, checked before any draw: shots here, pair runs in `protocol`.
 MAX_TRIALS = 1 << 32
 
@@ -172,9 +172,10 @@ def _compile(circuit: Circuit) -> tuple[_Outcome, ...]:
     PRA 70, 052328, 2004) finds it. Rows 0..n-1 are destabilizers and
     n..2n-1 stabilizers, each an X and a Z bitmask over qubits, and a
     row's sign is symbolic: bit 0 a constant, bit k + 1 the outcome of the
-    k-th measurement. Entry k is None if the k-th outcome is a fair coin,
-    else ``(constant, sources)``: that outcome is ``constant`` XOR the
-    outcomes of the earlier random measurements in ``sources``.
+    k-th measurement. Entry k is ``(constant, sources)``: the k-th outcome
+    is ``constant`` XOR the outcomes of the random measurements in
+    ``sources``. A fair coin k is its own one source, ``(0, (k,))``; a
+    determined outcome's sources are all earlier coins.
     """
     n = circuit.num_qubits
     xs = [1 << q for q in range(n)] + [0] * n
@@ -206,35 +207,34 @@ def _compile(circuit: Circuit) -> tuple[_Outcome, ...]:
                 if xs[i] & a:
                     sign ^= signs[n + i] ^ _product_sign(xs[n + i], zs[n + i], x, z)
                     x, z = x ^ xs[n + i], z ^ zs[n + i]
-            sources, rest = [], sign >> 1
-            while rest:
-                sources.append((rest & -rest).bit_length() - 1)
-                rest &= rest - 1
-            outcomes.append((sign & 1, tuple(sources)))
-            continue
-        for i in range(2 * n):
-            if i != p and xs[i] & a:
-                signs[i] ^= signs[p] ^ _product_sign(xs[p], zs[p], xs[i], zs[i])
-                xs[i], zs[i] = xs[i] ^ xs[p], zs[i] ^ zs[p]
-        xs[p - n], zs[p - n] = xs[p], zs[p]
-        xs[p], zs[p], signs[p] = 0, a, 1 << len(outcomes) + 1
-        outcomes.append(None)
+        else:  # random: the new stabilizer's sign is this outcome's own coin
+            for i in range(2 * n):
+                if i != p and xs[i] & a:
+                    signs[i] ^= signs[p] ^ _product_sign(xs[p], zs[p], xs[i], zs[i])
+                    xs[i], zs[i] = xs[i] ^ xs[p], zs[i] ^ zs[p]
+            xs[p - n], zs[p - n] = xs[p], zs[p]
+            sign = 1 << len(outcomes) + 1
+            xs[p], zs[p], signs[p] = 0, a, sign
+        sources, rest = [], sign >> 1
+        while rest:
+            sources.append((rest & -rest).bit_length() - 1)
+            rest &= rest - 1
+        outcomes.append((sign & 1, tuple(sources)))
     return tuple(outcomes)
 
 
 def _draw(outcomes: tuple[_Outcome, ...], uniforms: np.ndarray) -> np.ndarray:
-    """Outcome bits of a compiled circuit, one column per shot: a random
-    outcome is 1 iff its uniform is at least 1/2, a determined one the
-    XOR of its sources and constant. Row k of ``uniforms`` holds the
-    draws for the k-th ``measure``. Every Born probability is 0, 1/2 or
-    1, so this is the dense rule (outcome 0 iff the draw is below p0)
-    bit for bit."""
+    """Outcome bits of a compiled circuit, one column per shot: a fair coin
+    k (sources ``(k,)``) is 1 iff its uniform is at least 1/2, a
+    determined outcome the XOR of its constant and its sources, all
+    earlier coins. Row k of ``uniforms`` holds the draws for the k-th
+    ``measure``. Every Born probability is 0, 1/2 or 1, so this is the
+    dense rule (outcome 0 iff the draw is below p0) bit for bit."""
     bits = np.empty(uniforms.shape, dtype=bool)
-    for k, outcome in enumerate(outcomes):
-        if outcome is None:
+    for k, (constant, sources) in enumerate(outcomes):
+        if sources == (k,):
             np.greater_equal(uniforms[k], 0.5, out=bits[k])
             continue
-        constant, sources = outcome
         bits[k] = constant
         for j in sources:
             bits[k] ^= bits[j]

@@ -196,7 +196,7 @@ def transmit_message(
     (``numpy.random.Generator.spawn``), so the result is independent of
     the order in which blocks execute. The length is checked before any
     bit is converted; an iterable without a length is read at most one
-    bit past the cap. Bits must be integral (``operator.index``).
+    bit past the cap. Each bit is 0 or 1: an int, a bool or a numpy bool.
     """
     if isinstance(bits, Sized):
         count = len(bits)

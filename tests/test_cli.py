@@ -158,6 +158,18 @@ def test_channel_rejects_prior_outside_unit_interval(capsys):
     assert excinfo.value.code != 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["block", "--n", "1", "--bit", "1"],
+    ["run", BELL],
+    ["transmit", "--message", "1"],
+])
+def test_negative_seed_is_a_usage_error_naming_the_flag(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--seed", "-1"])
+    assert excinfo.value.code == 2
+    assert "argument --seed: must be a non-negative integer, got -1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["block", "--n", "abc", "--bit", "1", "--seed", "0"], "--n"),
     (["block", "--n", "1", "--bit", "1", "--seed", "0", "--trials", "1e3"], "--trials"),

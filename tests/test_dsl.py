@@ -367,6 +367,12 @@ def test_compiled_executor_matches_the_dense_oracle(circuit, seed, shots):
     edges = rng.choice(EDGE_DRAWS, size=uniforms.shape)
     uniforms = np.where(rng.random(uniforms.shape) < 0.5, edges, uniforms)
     outcomes = dsl._compile(circuit)
+    # one form: entry k is a constant XOR coins, a coin being its own one source
+    assert len(outcomes) == m
+    for k, (constant, sources) in enumerate(outcomes):
+        assert constant in (0, 1) and all(i < j for i, j in zip(sources, sources[1:]))
+        assert all(j <= k and outcomes[j] == (0, (j,)) for j in sources)
+        assert (outcomes[k] == (0, (k,))) == (k in sources)
     bits, expected = dsl._draw(outcomes, uniforms), dense.run_batch(circuit, uniforms)
     assert bits.dtype == expected.dtype and bits.shape == expected.shape
     assert bits.tobytes() == expected.tobytes()
@@ -510,7 +516,7 @@ def test_mixed12_branches_are_an_affine_support():
     tracemalloc.start()
     try:
         outcomes = dsl._compile(circuit)
-        coins = [k for k, outcome in enumerate(outcomes) if outcome is None]
+        coins = [k for k, outcome in enumerate(outcomes) if outcome == (0, (k,))]
         uniforms = np.zeros((len(outcomes), 1 << len(coins)))
         uniforms[coins] = np.arange(1 << len(coins)) >> np.arange(len(coins))[:, None] & 1
         support = {tuple(column) for column in dsl._draw(outcomes, uniforms).T.tolist()}

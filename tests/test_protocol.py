@@ -111,9 +111,9 @@ def test_sender_bit_is_the_int_0_or_1_at_every_entry_point(name):
     for bit in (1.0, 0.0, 0.5, "1", 2):
         with pytest.raises(ValueError, match=f"^action must be 0 or 1, got {bit!r}$"):
             run(bit)
-    for bit in (True, np.int64(1), AliceAction.MEASURE):
+    for bit in (True, np.int64(1), AliceAction.MEASURE, np.True_):
         assert run(bit) == run(1)
-    assert run(np.int64(0)) == run(0)
+    assert run(np.int64(0)) == run(np.False_) == run(0)
 
 
 def test_alice_step_rejects_wrong_qubit_count():
@@ -336,6 +336,12 @@ def test_transmit_rejects_messages_above_the_cap():
             transmit_message(bits, 1, rng)
     # rejected before a single child stream was spawned
     assert rng.spawn(1)[0].random() == np.random.default_rng(0).spawn(1)[0].random()
+
+
+def test_transmit_reads_a_bool_array_as_its_list():
+    message = [True, False, True, True]
+    expected = transmit_message(message, 3, np.random.default_rng(15))
+    assert transmit_message(np.array(message), 3, np.random.default_rng(15)) == expected
 
 
 def test_transmit_all_zeros_is_error_free():

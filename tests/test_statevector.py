@@ -387,6 +387,13 @@ def test_collapse_qubit_rejects_bad_outcome():
             collapse_qubit(new_ground_state(2), 0, outcome)
 
 
+def test_collapse_qubit_reads_a_numpy_bool_as_its_bool():
+    pair = StateVector(np.array([1, 0, 0, 1]) / math.sqrt(2))
+    for outcome in (np.False_, np.True_):
+        collapsed = collapse_qubit(pair, 0, outcome).amplitudes.tolist()
+        assert collapsed == collapse_qubit(pair, 0, bool(outcome)).amplitudes.tolist()
+
+
 def test_measure_qubit_edge_draws_follow_the_draw_rule():
     # outcome 0 iff u < p0, except that a branch below the floor is never
     # selected; the post-state is collapse_qubit's, byte for byte
