@@ -8,9 +8,10 @@ the two protocol circuits induce, with its mutual information and
 closed-form capacity.
 Statistical side: a chunked Monte Carlo engine that samples the circuit,
 many trials at once. An OR-decoded block reads only the receiver's bits,
-so a block chunk computes only the uniforms they read and skips the
-sender's; each skipped uniform keeps its stream position (`_skip`), so
-counts are those of drawing every uniform.
+so a block chunk draws only the receiver's source rows and evaluates its
+entry with `dsl._draw`, the rule the shot sampler uses; each skipped
+uniform keeps its stream position (`_skip`), so counts are those of
+drawing every uniform.
 
 The channel's crossovers are read off the same compiled circuits
 (`protocol._COMPILED_CIRCUITS`): a block decodes 0 only when every one of
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsl import Circuit, Instruction, _check_count, _Outcome, _compile
+from .dsl import Circuit, Instruction, _check_count, _Outcome, _compile, _draw
 from .protocol import (  # noqa: F401
     _COMPILED_CIRCUITS, MAX_TRIALS, AliceAction, _action, _check_pairs, _protocol_circuit)
 
@@ -248,26 +249,22 @@ def _decoded_ones(outcomes: tuple[_Outcome, ...], n_pairs: int, size: int,
     the receiver's bit is its last outcome. Pair p owns rows ``p * m`` to
     ``p * m + m - 1`` of ``size`` uniforms each, as
     ``stream.random((n_pairs * m, size))`` lays them out for its ``m``
-    measurements, but only the rows the receiver's bit reads are
-    computed: its sources, its own row if it is a fair coin, none for
-    send-0. `_skip` passes the others, so every row keeps its position.
+    measurements, but only the receiver's source rows are drawn, and
+    `_draw` evaluates its entry from them. `_skip` passes the other rows,
+    so every row keeps its position.
     """
     m = len(outcomes)
-    constant, sources = outcomes[-1]
-    u = np.empty(size)
-    coin = np.empty(size, dtype=bool)
-    bit = np.empty(size, dtype=bool)
+    receiver = outcomes[-1:]
+    _, sources = receiver[0]
+    u = np.empty((m, size))  # rows no source names are never written, so never paged in
     any_one = np.zeros(size, dtype=bool)
     drawn = 0
     for p in range(n_pairs):
-        bit.fill(constant)
-        for row in (p * m + k for k in sources):
-            if row > drawn:
-                _skip(stream, (row - drawn) * size)
-            stream.random(out=u)
-            drawn = row + 1
-            bit ^= np.greater_equal(u, 0.5, out=coin)
-        any_one |= bit
+        for k in sources:
+            _skip(stream, (p * m + k - drawn) * size)
+            stream.random(out=u[k])
+            drawn = p * m + k + 1
+        any_one |= _draw(receiver, u)[0]
     return int(np.count_nonzero(any_one))
 
 

@@ -224,20 +224,19 @@ def _compile(circuit: Circuit) -> tuple[_Outcome, ...]:
 
 
 def _draw(outcomes: tuple[_Outcome, ...], uniforms: np.ndarray) -> np.ndarray:
-    """Outcome bits of a compiled circuit, one column per shot: a fair coin
-    k (sources ``(k,)``) is 1 iff its uniform is at least 1/2, a
-    determined outcome the XOR of its constant and its sources, all
-    earlier coins. Row k of ``uniforms`` holds the draws for the k-th
-    ``measure``. Every Born probability is 0, 1/2 or 1, so this is the
-    dense rule (outcome 0 iff the draw is below p0) bit for bit."""
-    bits = np.empty(uniforms.shape, dtype=bool)
+    """Outcome bits of the given compiled entries, one row per entry and one
+    column per shot, by one rule: an entry's bit is its constant XOR, for
+    each source j, whether ``uniforms[j]`` is at least 1/2. Row j of
+    ``uniforms`` holds the draws for the j-th ``measure``, and only source
+    rows are read, so a subset of entries (the receiver's alone, say) needs
+    only its sources drawn. Every Born probability is 0, 1/2 or 1, so this
+    is the dense rule (outcome 0 iff the draw is below p0) bit for bit."""
+    coins = {j: uniforms[j] >= 0.5 for j in set().union(*(sources for _, sources in outcomes))}
+    bits = np.empty((len(outcomes), *uniforms.shape[1:]), dtype=bool)
     for k, (constant, sources) in enumerate(outcomes):
-        if sources == (k,):
-            np.greater_equal(uniforms[k], 0.5, out=bits[k])
-            continue
         bits[k] = constant
         for j in sources:
-            bits[k] ^= bits[j]
+            bits[k] ^= coins[j]
     return bits
 
 

@@ -231,9 +231,11 @@ def _collapse(amps: np.ndarray, qubit: int, outcome: int, probability: float) ->
 
 def _bit(value, name: str) -> int:
     """``value`` as the int 0 or 1, read with ``operator.index``, a numpy
-    bool as its Python bool; anything else, a float included, raises ValueError."""
+    bool (scalar or 0-d array) as its Python bool; anything else, a float
+    included, raises ValueError."""
     try:
-        bit = operator.index(value.item() if isinstance(value, np.bool_) else value)
+        numpy_bool = getattr(value, "dtype", None) == bool and value.ndim == 0
+        bit = operator.index(value.item() if numpy_bool else value)
     except TypeError:
         bit = None
     if bit not in (0, 1):

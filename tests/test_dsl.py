@@ -376,6 +376,12 @@ def test_compiled_executor_matches_the_dense_oracle(circuit, seed, shots):
     bits, expected = dsl._draw(outcomes, uniforms), dense.run_batch(circuit, uniforms)
     assert bits.dtype == expected.dtype and bits.shape == expected.shape
     assert bits.tobytes() == expected.tobytes()
+    # one entry alone gives its own row, reading only its source rows
+    for k, (_, sources) in enumerate(outcomes):
+        masked = np.full_like(uniforms, np.nan)
+        masked[list(sources)] = uniforms[list(sources)]
+        alone = dsl._draw(outcomes[k:k + 1], masked)
+        assert alone.shape == (1, shots) and alone.tobytes() == bits[k:k + 1].tobytes()
     if m > 12:
         return  # the dense enumeration holds all 2**m records
     # the last bit's exact marginal: sums of powers of two on both sides

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -108,12 +109,12 @@ SENDER_ENTRY_POINTS = {
 def test_sender_bit_is_the_int_0_or_1_at_every_entry_point(name):
     # a float is rejected, never read as MEASURE, as transmit_message does
     run = SENDER_ENTRY_POINTS[name]
-    for bit in (1.0, 0.0, 0.5, "1", 2):
-        with pytest.raises(ValueError, match=f"^action must be 0 or 1, got {bit!r}$"):
+    for bit in (1.0, 0.0, 0.5, "1", 2, np.array([1]), np.array(1.0), np.float64(1.0)):
+        with pytest.raises(ValueError, match=f"^action must be 0 or 1, got {re.escape(repr(bit))}$"):
             run(bit)
-    for bit in (True, np.int64(1), AliceAction.MEASURE, np.True_):
+    for bit in (True, np.int64(1), AliceAction.MEASURE, np.True_, np.array(True)):
         assert run(bit) == run(1)
-    assert run(np.int64(0)) == run(np.False_) == run(0)
+    assert run(np.int64(0)) == run(np.False_) == run(np.array(False)) == run(0)
 
 
 def test_alice_step_rejects_wrong_qubit_count():

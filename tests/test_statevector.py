@@ -389,7 +389,7 @@ def test_collapse_qubit_rejects_bad_outcome():
 
 def test_collapse_qubit_reads_a_numpy_bool_as_its_bool():
     pair = StateVector(np.array([1, 0, 0, 1]) / math.sqrt(2))
-    for outcome in (np.False_, np.True_):
+    for outcome in (np.False_, np.True_, np.array(True)):
         collapsed = collapse_qubit(pair, 0, outcome).amplitudes.tolist()
         assert collapsed == collapse_qubit(pair, 0, bool(outcome)).amplitudes.tolist()
 
