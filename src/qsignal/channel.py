@@ -21,11 +21,10 @@ receiver's exact P(0) for that sent bit.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from threading import Thread
 
 import numpy as np
 
@@ -40,8 +39,8 @@ ANCILLA_QUBIT = 2
 # boundaries depend only on the trial count, never on worker count, so
 # aggregate counts are reproducible at any parallelism degree.
 CHUNK_TRIALS = 1 << 16
-# Threads per call, checked before any stream is spawned; the pool never
-# holds more threads than chunks.
+# Threads per call, checked before any stream is spawned; a call never
+# starts more threads than chunks.
 _MAX_WORKERS = 64
 
 
@@ -216,9 +215,12 @@ def channel_capacity(channel: ZChannel) -> tuple[float, float]:
     mutual information is concave in the prior and peaks where
     P(Y=1) = 1 / (1 + z), z = 2**((H2(q) - H2(a)) / (1 - a - q)). At a = 0
     it is the Z-channel form (Tallini, Al-Bassam & Bose, ISIT 2002), and a
-    perfect channel (q = 0 too) peaks at prior 1/2.
+    perfect channel (q = 0 too) peaks at prior 1/2. At a + q = 1 the output
+    does not depend on the input: capacity 0, reported at prior 0.
     """
     a, q = channel.p_false_one, channel.p_missed_one
+    if a + q == 1.0:
+        return 0.0, 0.0
     z = 2.0 ** ((binary_entropy(q) - binary_entropy(a)) / (1.0 - a - q))
     prior = (1.0 - a * (1.0 + z)) / ((1.0 - a - q) * (1.0 + z))
     return mutual_information(channel, prior), prior
@@ -276,38 +278,50 @@ def _chunk_sizes(trials: int) -> list[int]:
 
 
 def _pinner(threads: int):
-    """A pool initializer that binds each of ``threads`` threads to the next
-    CPU of the caller's affinity mask, round-robin, or None where there is
-    nothing to spread (one thread, one CPU, or no affinity calls).
-
-    Pid 0 is the calling thread on Linux, so only pool threads are bound.
-    The kernel may otherwise leave every pool thread on one CPU; a refused
-    pin (`OSError`) is ignored, as placement never changes a count.
-    """
-    if threads < 2 or not hasattr(os, "sched_setaffinity"):
-        return None
-    cpus = sorted(os.sched_getaffinity(0))
+    """What chunk thread t of ``threads`` calls as it starts: bind itself (pid 0 is
+    the calling thread on Linux) to CPU t of the caller's affinity mask, round-robin,
+    else nothing (one thread, one CPU, or no affinity calls). The kernel may otherwise
+    keep every chunk thread on one CPU; a refused pin (`OSError`) is ignored, as
+    placement never changes a count."""
+    cpus = sorted(os.sched_getaffinity(0)) if threads > 1 and hasattr(os, "sched_setaffinity") else []
     if len(cpus) < 2:
-        return None
-    # one C call, so threads starting together take distinct turns
-    next_cpu = itertools.cycle(cpus).__next__
+        return lambda t: None
 
-    def pin():
+    def pin(t: int) -> None:
         try:
-            os.sched_setaffinity(0, {next_cpu()})
+            os.sched_setaffinity(0, {cpus[t % len(cpus)]})
         except OSError:
             pass
     return pin
 
 
 def _map_chunks(fn, trials: int, rng: np.random.Generator, workers: int) -> list:
-    """Apply ``fn(size, stream)`` over fixed-size chunks of ``trials`` on a thread pool."""
+    """``fn(size, stream)`` of each fixed-size chunk of ``trials``, chunk i on child
+    stream i into slot i, on ``min(workers, chunks)`` threads that each take the next
+    chunk until none is left or theirs raises. Once all have joined, the lowest failing
+    chunk's exception, the one a serial loop would raise, is raised here."""
     workers = _check_count("workers", workers, _MAX_WORKERS)
     sizes = _chunk_sizes(trials)
     streams = rng.spawn(len(sizes))
     threads = min(workers, len(sizes))
-    with ThreadPoolExecutor(max_workers=threads, initializer=_pinner(threads)) as pool:
-        return list(pool.map(fn, sizes, streams))
+    pin, results, errors = _pinner(threads), [None] * len(sizes), {}
+    chunks = iter(range(len(sizes)))  # one C call per take, so no chunk runs twice
+
+    def run(t: int) -> None:
+        pin(t)
+        try:
+            for i in chunks:
+                results[i] = fn(sizes[i], streams[i])
+        except BaseException as exc:
+            errors[i] = exc
+    pool = [Thread(target=run, args=(t,)) for t in range(threads)]
+    for thread in pool:
+        thread.start()
+    for thread in pool:
+        thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def monte_carlo_distribution(

@@ -14,7 +14,6 @@ payload as it is, and CSV takes its header from the first record's keys.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
@@ -208,6 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _render(payload: dict | list[dict], fmt: str) -> str:
     if fmt == "json":
         return json.dumps(payload, indent=2)
+    import csv  # only CSV output needs it, so no command's start-up loads it
     rows = payload if isinstance(payload, list) else [payload]
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(rows[0]) if rows else _RUN_FIELDS,

@@ -234,8 +234,11 @@ def _draw(outcomes: tuple[_Outcome, ...], uniforms: np.ndarray) -> np.ndarray:
     coins = {j: uniforms[j] >= 0.5 for j in set().union(*(sources for _, sources in outcomes))}
     bits = np.empty((len(outcomes), *uniforms.shape[1:]), dtype=bool)
     for k, (constant, sources) in enumerate(outcomes):
-        bits[k] = constant
-        for j in sources:
+        if sources:  # written in one pass from its first source
+            np.not_equal(coins[sources[0]], bool(constant), out=bits[k])
+        else:
+            bits[k] = constant
+        for j in sources[1:]:
             bits[k] ^= coins[j]
     return bits
 

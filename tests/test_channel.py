@@ -225,29 +225,45 @@ def test_monte_carlo_rejects_workers_outside_the_cap(workers):
 
 def test_monte_carlo_pool_holds_no_more_threads_than_chunks(monkeypatch):
     sizes = []
-    # the serial pool runs its initializer in the calling thread, which must stay unpinned
-    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: None, raising=False)
 
-    class SerialPool:
-        # Records the pool size and maps in the calling thread: no thread starts.
-        def __init__(self, max_workers, initializer=None):
-            sizes.append(max_workers)
-            if initializer is not None:
-                initializer()
+    class CountedThread(threading.Thread):
+        # Counts the threads a call starts, and runs them as they are.
+        def start(self):
+            sizes[-1] += 1
+            super().start()
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(channel, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(channel, "Thread", CountedThread)
     for trials, workers in ((10, 64), (2 * CHUNK_TRIALS + 1, 64), (2 * CHUNK_TRIALS + 1, 2)):
+        sizes.append(0)
         monte_carlo_distribution(1, trials, np.random.default_rng(7), workers)
     assert sizes == [1, 3, 2]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 8])
+def test_a_failing_chunk_raises_in_the_caller(workers):
+    def chunk(size, stream):
+        if size == 5:  # the last of 9 chunks
+            raise ArithmeticError("chunk failed")
+        return size
+
+    before = threading.active_count()
+    with pytest.raises(ArithmeticError, match="^chunk failed$"):
+        channel._map_chunks(chunk, 8 * CHUNK_TRIALS + 5, np.random.default_rng(0), workers)
+    assert threading.active_count() == before
+    # with no chunk failing, slot i holds chunk i's result
+    assert channel._map_chunks(chunk, 8 * CHUNK_TRIALS, np.random.default_rng(0), workers) == [
+        CHUNK_TRIALS] * 8
+
+
+@pytest.mark.parametrize("workers", [1, 2, 8])
+def test_of_several_failing_chunks_the_lowest_raises(workers):
+    # each chunk names its own stream; a serial loop would stop at chunk 0
+    def chunk(size, stream):
+        raise ArithmeticError(int(stream.integers(1 << 62)))
+
+    first = int(np.random.default_rng(3).spawn(1)[0].integers(1 << 62))
+    with pytest.raises(ArithmeticError, match=f"^{first}$"):
+        channel._map_chunks(chunk, 8 * CHUNK_TRIALS, np.random.default_rng(3), workers)
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
@@ -470,6 +486,19 @@ def test_mutual_information_rejects_bad_arguments():
 def test_capacity_degenerate_channels():
     # past the smallest float the miss probability is 0.0: a perfect channel
     assert channel_capacity(ZChannel(10**400)) == (1.0, 0.5)
+
+
+def test_capacity_of_a_channel_that_carries_nothing(monkeypatch):
+    # both protocol circuits the send-1 one: a = 1 - 2**-n and q = 2**-n, so
+    # a + q = 1 and the receiver's bit says nothing of the sent one
+    circuits = protocol._COMPILED_CIRCUITS
+    monkeypatch.setitem(circuits, AliceAction.SKIP, circuits[AliceAction.MEASURE])
+    for n_pairs in [*range(1, 1101), 10**400]:
+        chan = ZChannel(n_pairs)
+        assert chan.p_false_one + chan.p_missed_one == 1.0
+        capacity = channel_capacity(chan)
+        assert capacity == (0.0, 0.0)
+        assert [math.copysign(1.0, x) for x in capacity] == [1.0, 1.0]  # not -0.0
 
 
 def z_channel_mutual_information(p_missed_one, prior_p1):

@@ -1,6 +1,7 @@
 """`import qsignal` exports exactly the public names it imports, and loads
 numpy without OpenBLAS's worker threads, leaving the environment as it
-found it. Each OpenBLAS case runs in a fresh interpreter, since a process
+found it; `import qsignal.cli` loads no module that only some commands
+use. Each OpenBLAS case runs in a fresh interpreter, since a process
 loads numpy, and OpenBLAS reads its thread count, once."""
 
 import ast
@@ -72,3 +73,20 @@ def test_numpy_imported_first_keeps_its_default_pool():
     numpy_alone, with_qsignal = run_fresh(
         "import numpy\nn = threads()\nimport qsignal\nprint(json.dumps([n, threads()]))")
     assert with_qsignal == numpy_alone
+
+
+def test_cli_loads_no_module_its_commands_do_not_run():
+    # The Monte Carlo chunks run on plain threads and CSV output imports csv
+    # when asked for: a thread pool would bring logging, queue and more.
+    unused = ["concurrent.futures", "logging", "queue", "csv"]
+    after_import, after_block = run_fresh(
+        f"import io, sys\nunused = {unused!r}\nimport qsignal.cli\n"
+        "loaded = [m for m in unused if m in sys.modules]\n"
+        "sys.stdout = io.StringIO()\n"
+        "code = qsignal.cli.main(['block', '--n', '2', '--bit', '1', '--trials', '200000',"
+        " '--seed', '1', '--workers', '2'])\n"
+        "sys.stdout = sys.__stdout__\n"
+        "assert code == 0\n"
+        "print(json.dumps([loaded, [m for m in unused if m in sys.modules]]))")
+    assert after_import == []
+    assert after_block == []
