@@ -86,54 +86,6 @@ from .dsl import (  # noqa: E402
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALICE_QUBIT",
-    "AMPLITUDE_ATOL",
-    "ANCILLA_QUBIT",
-    "AliceAction",
-    "BOB_QUBIT",
-    "BlockErrorEstimate",
-    "BlockResult",
-    "Circuit",
-    "EmpiricalDistribution",
-    "Instruction",
-    "MAX_QUBITS",
-    "MIN_BRANCH_PROBABILITY",
-    "MeasurementRecord",
-    "MeasurementResult",
-    "NORM_ATOL",
-    "OutcomeDistribution",
-    "ParseError",
-    "ProtocolTrace",
-    "RandomSource",
-    "RunRecord",
-    "StateVector",
-    "ZChannel",
-    "alice_step",
-    "ancilla_model_distribution",
-    "apply_gate",
-    "binary_entropy",
-    "block_error_probability",
-    "bob_step",
-    "channel_capacity",
-    "cnot",
-    "collapse_qubit",
-    "exact_distribution",
-    "execute",
-    "hadamard",
-    "load",
-    "measure_qubit",
-    "monte_carlo_block_error",
-    "monte_carlo_distribution",
-    "mutual_information",
-    "new_ground_state",
-    "not_gate",
-    "outcome_distribution",
-    "parse",
-    "prepare_pair",
-    "render",
-    "restore",
-    "run_block",
-    "run_pair",
-    "transmit_message",
-]
+# The public names are those the imports above bind, less the submodules they load.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and type(value) is not type(dsl))

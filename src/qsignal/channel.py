@@ -277,48 +277,52 @@ def _chunk_sizes(trials: int) -> list[int]:
     return sizes
 
 
-def _pinner(threads: int):
-    """What chunk thread t of ``threads`` calls as it starts: bind itself (pid 0 is
-    the calling thread on Linux) to CPU t of the caller's affinity mask, round-robin,
-    else nothing (one thread, one CPU, or no affinity calls). The kernel may otherwise
-    keep every chunk thread on one CPU; a refused pin (`OSError`) is ignored, as
-    placement never changes a count."""
-    cpus = sorted(os.sched_getaffinity(0)) if threads > 1 and hasattr(os, "sched_setaffinity") else []
-    if len(cpus) < 2:
-        return lambda t: None
-
-    def pin(t: int) -> None:
-        try:
-            os.sched_setaffinity(0, {cpus[t % len(cpus)]})
-        except OSError:
-            pass
-    return pin
-
-
 def _map_chunks(fn, trials: int, rng: np.random.Generator, workers: int) -> list:
     """``fn(size, stream)`` of each fixed-size chunk of ``trials``, chunk i on child
     stream i into slot i, on ``min(workers, chunks)`` threads that each take the next
-    chunk until none is left or theirs raises. Once all have joined, the lowest failing
-    chunk's exception, the one a serial loop would raise, is raised here."""
+    chunk until none is left. A thread whose chunk raises, or a caller interrupted
+    while it joins (Ctrl-C), empties the shared chunk iterator, so every thread stops
+    after its chunk in flight. Once all have joined, the lowest failing chunk's
+    exception, the one a serial loop would raise, is raised here: chunks are handed
+    out in order, so every chunk below a failing one has run.
+
+    With two threads or more and two CPUs or more in the caller's affinity mask,
+    thread t first binds itself (pid 0 is the calling thread on Linux) to CPU t of
+    that mask, round-robin; the kernel may otherwise keep every chunk thread on one
+    CPU. A refused pin (`OSError`) is ignored, as placement never changes a count."""
     workers = _check_count("workers", workers, _MAX_WORKERS)
     sizes = _chunk_sizes(trials)
     streams = rng.spawn(len(sizes))
     threads = min(workers, len(sizes))
-    pin, results, errors = _pinner(threads), [None] * len(sizes), {}
+    cpus = sorted(os.sched_getaffinity(0)) if threads > 1 and hasattr(os, "sched_setaffinity") else []
+    results, errors = [None] * len(sizes), {}
     chunks = iter(range(len(sizes)))  # one C call per take, so no chunk runs twice
 
     def run(t: int) -> None:
-        pin(t)
+        if len(cpus) > 1:
+            try:
+                os.sched_setaffinity(0, {cpus[t % len(cpus)]})
+            except OSError:
+                pass
         try:
             for i in chunks:
                 results[i] = fn(sizes[i], streams[i])
         except BaseException as exc:
             errors[i] = exc
+            for _ in chunks:
+                pass
     pool = [Thread(target=run, args=(t,)) for t in range(threads)]
     for thread in pool:
         thread.start()
-    for thread in pool:
-        thread.join()
+    try:
+        for thread in pool:
+            thread.join()
+    except BaseException:
+        for _ in chunks:
+            pass
+        for thread in pool:
+            thread.join()
+        raise
     if errors:
         raise errors[min(errors)]
     return results

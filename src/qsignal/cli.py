@@ -232,7 +232,12 @@ def main(argv=None) -> int:
     except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(_render(payload, fmt))
+    try:
+        print(_render(payload, fmt), flush=True)
+    except BrokenPipeError:
+        # The reader stopped reading, which is its choice, not an error. The
+        # flush at exit would raise again, so stdout is pointed at devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 
 

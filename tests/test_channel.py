@@ -266,6 +266,54 @@ def test_of_several_failing_chunks_the_lowest_raises(workers):
         channel._map_chunks(chunk, 8 * CHUNK_TRIALS, np.random.default_rng(3), workers)
 
 
+def test_a_failing_chunk_stops_the_other_threads():
+    # The first chunk raises; any other waits until the thread that ran it has
+    # ended, so it ends only after the failing thread has emptied the iterator.
+    lock, calls = threading.Lock(), []
+
+    def chunk(size, stream):
+        with lock:
+            calls.append(threading.current_thread())
+            fails = len(calls) == 1
+        if fails:
+            raise ArithmeticError("chunk failed")
+        calls[0].join(timeout=30)
+        return size
+
+    with pytest.raises(ArithmeticError, match="^chunk failed$"):
+        channel._map_chunks(chunk, 8 * CHUNK_TRIALS, np.random.default_rng(0), 2)
+    assert 1 <= len(calls) < 8
+
+
+@pytest.mark.parametrize("workers", [1, 2, 8])
+def test_an_interrupted_join_stops_the_threads_and_reraises(monkeypatch, workers):
+    # The first join raises as Ctrl-C would. Each chunk waits until the caller
+    # joins again, which it does only after emptying the chunk iterator.
+    interrupted, rejoined, ran = threading.Event(), threading.Event(), []
+
+    class InterruptedThread(threading.Thread):
+        def join(self, timeout=None):
+            if not interrupted.is_set():
+                interrupted.set()
+                raise KeyboardInterrupt
+            rejoined.set()
+            super().join(timeout)
+
+    def chunk(size, stream):
+        ran.append(size)
+        rejoined.wait(timeout=30)
+        return size
+
+    monkeypatch.setattr(channel, "Thread", InterruptedThread)
+    before = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        channel._map_chunks(chunk, 16 * CHUNK_TRIALS, np.random.default_rng(0), workers)
+    chunks_run, alive = len(ran), threading.active_count()
+    rejoined.set()  # frees any thread a map that returned early left waiting
+    assert chunks_run <= workers
+    assert alive == before
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
                     reason="needs an affinity mask of at least 2 CPUs")
 def test_monte_carlo_pool_leaves_the_callers_affinity_alone():

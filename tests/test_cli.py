@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from pathlib import Path
@@ -8,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qsignal
 from qsignal import execute, load
 from qsignal.cli import main
 
@@ -249,6 +253,24 @@ def test_run_names_the_line_of_a_byte_that_is_not_utf8(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err == "error: byte 0xe9 is not UTF-8, line 3\n"
+
+
+def test_a_closed_reader_ends_the_command_quietly(tmp_path):
+    # The child reads its stdin to the end before it runs the command, so the
+    # parent's read end of the child's stdout is closed before a byte is written.
+    code = ("import sys\nsys.stdin.read()\nfrom qsignal.cli import main\n"
+            "sys.exit(main(['run', sys.argv[1], '--shots', '200000', '--seed', '0',"
+            " '--format', 'csv']))")
+    src = str(Path(qsignal.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    with open(tmp_path / "stderr", "w+") as err:
+        child = subprocess.Popen([sys.executable, "-c", code, BELL], env=env, stdin=subprocess.PIPE,
+                                 stdout=subprocess.PIPE, stderr=err)
+        child.stdout.close()
+        child.stdin.close()
+        assert child.wait(timeout=60) == 0
+        err.seek(0)
+        assert err.read() == ""
 
 
 def test_run_is_byte_identical_per_seed(capsys, tmp_path):

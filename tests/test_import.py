@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -43,6 +44,15 @@ def test_all_lists_exactly_the_public_names_the_package_imports():
     assert set(qsignal.__all__) == set(imported)
     assert all(hasattr(qsignal, name) for name in qsignal.__all__)
     assert not {"GateKind", "GateOp"} & {*qsignal.__all__, *dir(qsignal)}
+
+
+def test_star_import_binds_exactly_all_and_no_module():
+    namespace = {}
+    exec("from qsignal import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(qsignal.__all__)
+    assert not [name for name, value in namespace.items() if isinstance(value, types.ModuleType)]
+    assert qsignal.__all__ == sorted(qsignal.__all__)
 
 
 def test_import_leaves_environment_as_it_was():
