@@ -228,16 +228,18 @@ def main(argv=None) -> int:
         )
         return 1
     try:
-        payload = args.handler(args)
-    except (ParseError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        print(_render(payload, fmt), flush=True)
+        print(_render(args.handler(args), fmt), flush=True)
     except BrokenPipeError:
         # The reader stopped reading, which is its choice, not an error. The
         # flush at exit would raise again, so stdout is pointed at devnull.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except (ParseError, OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except KeyboardInterrupt:
+        # Ctrl-C is the user's choice too: no traceback, and the status a
+        # shell gives a command that SIGINT ended (128 + 2).
+        return 130
     return 0
 
 

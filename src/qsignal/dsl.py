@@ -11,8 +11,9 @@ base-10 non-negative integers):
              | 'measure' INT
 
 The 'qubits' declaration must appear exactly once, before any other
-statement. Files use UTF-8 text and conventionally carry the `.qc`
-extension. Every diagnostic but 'missing qubits declaration' names its line.
+statement. Files use UTF-8 text, with a leading byte-order mark ignored,
+and conventionally carry the `.qc` extension. Every diagnostic but
+'missing qubits declaration' names its line.
 """
 
 from __future__ import annotations
@@ -140,12 +141,14 @@ def render(circuit: Circuit) -> str:
 
 
 def load(path) -> Circuit:
-    """Parse a circuit file (UTF-8); a byte that is not UTF-8 is reported with its line."""
+    """Parse a circuit file (UTF-8, a leading byte-order mark ignored); a byte
+    that is not UTF-8 is reported with its line."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
-        text = data.decode("utf-8")
+        text = data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
+        data = exc.object  # the bytes after any byte-order mark, which exc.start indexes
         line = len(_LINE_BREAK.findall(data[:exc.start].decode("utf-8"))) + 1
         raise ParseError(f"byte 0x{data[exc.start]:02x} is not UTF-8", line) from None
     return parse(text)

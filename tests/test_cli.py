@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import qsignal
-from qsignal import execute, load
+from qsignal import cli, execute, load
 from qsignal.cli import main
 
 BELL_TEXT = "qubits 2\nh 1\ncnot 1 0\nmeasure 0\nmeasure 1\n"
@@ -271,6 +271,20 @@ def test_a_closed_reader_ends_the_command_quietly(tmp_path):
         assert child.wait(timeout=60) == 0
         err.seek(0)
         assert err.read() == ""
+
+
+@pytest.mark.parametrize("where", ["monte_carlo_block_error", "_render"])
+def test_ctrl_c_exits_130_with_nothing_written(capsys, monkeypatch, where):
+    # the handler's work or the render, each interrupted as SIGINT would
+    def interrupted(*args):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(cli, where, interrupted)
+    try:
+        code = main(["block", "--n", "2", "--bit", "1", "--trials", "1000", "--seed", "0"])
+    except KeyboardInterrupt:
+        pytest.fail("KeyboardInterrupt escaped main")
+    assert code == 130
+    assert capsys.readouterr() == ("", "")
 
 
 def test_run_is_byte_identical_per_seed(capsys, tmp_path):

@@ -137,6 +137,25 @@ def test_load_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
     assert excinfo.value.line == 3
 
 
+def test_load_ignores_a_leading_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.qc"
+    path.write_bytes(b"\xef\xbb\xbf" + (CIRCUITS / "bell.qc").read_bytes())
+    assert load(path) == load(CIRCUITS / "bell.qc")
+    # a byte that is not UTF-8 is still named with its line after the mark
+    path.write_bytes(b"\xef\xbb\xbfqubits 2\n# caf\xe9\n")
+    with pytest.raises(ParseError, match=r"^byte 0xe9 is not UTF-8, line 2$"):
+        load(path)
+
+
+def test_load_fails_on_a_byte_order_mark_that_does_not_lead(tmp_path):
+    path = tmp_path / "bom.qc"
+    path.write_bytes("\ufeffqubits 2\n\ufeffh 1\n".encode())
+    with pytest.raises(ParseError) as excinfo:
+        load(path)
+    assert str(excinfo.value) == r"unknown mnemonic '\ufeffh', line 2"
+    assert excinfo.value.line == 2
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 26), st.sampled_from(["h", "x", "cnot", "measure", "swap", "z"]),
        st.data())
