@@ -39,8 +39,7 @@ ANCILLA_QUBIT = 2
 # boundaries depend only on the trial count, never on worker count, so
 # aggregate counts are reproducible at any parallelism degree.
 CHUNK_TRIALS = 1 << 16
-# Threads per call, checked before any stream is spawned; a call never
-# starts more threads than chunks.
+# Workers per call, the caller and its helper threads, checked before any stream is spawned.
 _MAX_WORKERS = 64
 
 
@@ -279,27 +278,28 @@ def _chunk_sizes(trials: int) -> list[int]:
 
 def _map_chunks(fn, trials: int, rng: np.random.Generator, workers: int) -> list:
     """``fn(size, stream)`` of each fixed-size chunk of ``trials``, chunk i on child
-    stream i into slot i, on ``min(workers, chunks)`` threads that each take the next
-    chunk until none is left. A thread whose chunk raises, or a caller interrupted
-    while it joins (Ctrl-C), empties the shared chunk iterator, so every thread stops
-    after its chunk in flight. Once all have joined, the lowest failing chunk's
-    exception, the one a serial loop would raise, is raised here: chunks are handed
-    out in order, so every chunk below a failing one has run.
+    stream i into slot i. The caller, as worker 0, and ``min(workers, chunks) - 1``
+    helper threads each take the next chunk until none is left. A worker whose chunk
+    raises (a Ctrl-C lands in the caller's) empties the shared chunk iterator, so each
+    worker stops after its chunk in flight. Once the caller is out of chunks and has
+    joined every helper, the lowest failing chunk's exception, the one a serial loop
+    would raise, is raised here: chunks are handed out in order, so all below a failing
+    one have run. A Ctrl-C in those joins leaves each helper its chunk in flight.
 
-    With two threads or more and two CPUs or more in the caller's affinity mask,
-    thread t first binds itself (pid 0 is the calling thread on Linux) to CPU t of
-    that mask, round-robin; the kernel may otherwise keep every chunk thread on one
-    CPU. A refused pin (`OSError`) is ignored, as placement never changes a count."""
+    With two CPUs or more in the caller's affinity mask, helper t first binds itself
+    (pid 0 is the calling thread on Linux) to CPU t of that mask, round-robin; the
+    kernel may otherwise keep every chunk thread on one CPU. The caller, unpinned,
+    keeps its mask. A refused pin (`OSError`) is ignored: placement changes no count."""
     workers = _check_count("workers", workers, _MAX_WORKERS)
     sizes = _chunk_sizes(trials)
     streams = rng.spawn(len(sizes))
-    threads = min(workers, len(sizes))
-    cpus = sorted(os.sched_getaffinity(0)) if threads > 1 and hasattr(os, "sched_setaffinity") else []
+    helpers = range(1, min(workers, len(sizes)))
+    cpus = sorted(os.sched_getaffinity(0)) if helpers and hasattr(os, "sched_setaffinity") else []
     results, errors = [None] * len(sizes), {}
     chunks = iter(range(len(sizes)))  # one C call per take, so no chunk runs twice
 
     def run(t: int) -> None:
-        if len(cpus) > 1:
+        if t and len(cpus) > 1:
             try:
                 os.sched_setaffinity(0, {cpus[t % len(cpus)]})
             except OSError:
@@ -311,20 +311,14 @@ def _map_chunks(fn, trials: int, rng: np.random.Generator, workers: int) -> list
             errors[i] = exc
             for _ in chunks:
                 pass
-    pool = [Thread(target=run, args=(t,)) for t in range(threads)]
+    pool = [Thread(target=run, args=(t,)) for t in helpers]
     for thread in pool:
         thread.start()
-    try:
-        for thread in pool:
-            thread.join()
-    except BaseException:
-        for _ in chunks:
-            pass
-        for thread in pool:
-            thread.join()
-        raise
+    run(0)
+    for thread in pool:
+        thread.join()
     if errors:
-        raise errors[min(errors)]
+        raise errors.pop(min(errors))  # popped: left in, its traceback would reach it (a cycle)
     return results
 
 

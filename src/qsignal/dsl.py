@@ -12,15 +12,17 @@ base-10 non-negative integers):
 
 The 'qubits' declaration must appear exactly once, before any other
 statement. Files use UTF-8 text, with a leading byte-order mark ignored,
-and conventionally carry the `.qc` extension. Every diagnostic but
-'missing qubits declaration' names its line.
+hold at most 16 MiB and conventionally carry the `.qc` extension. Every
+diagnostic but 'missing qubits declaration' names its line.
 """
 
 from __future__ import annotations
 
+import codecs
 import operator
 import re
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -73,6 +75,8 @@ _LINE_BREAK = re.compile(r"\r\n?|\n")
 # Longer operands are rejected before int(), whose digit limit
 # (sys.set_int_max_str_digits) is never set below 640.
 _MAX_DIGITS = 640
+# `load` reads at most 64 KiB past this, so no file can fill memory.
+_MAX_FILE_BYTES = 1 << 24
 # `_sample` draws at most this many uniforms (2 MiB) per batch of shots.
 _BATCH_UNIFORMS = 1 << 18
 # A compiled ``measure``: ``(constant, sources)``, a fair coin k being ``(0, (k,))``.
@@ -141,14 +145,16 @@ def render(circuit: Circuit) -> str:
 
 
 def load(path) -> Circuit:
-    """Parse a circuit file (UTF-8, a leading byte-order mark ignored); a byte
-    that is not UTF-8 is reported with its line."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    """Parse a circuit file (UTF-8, a leading byte-order mark ignored); a byte that is
+    not UTF-8 is reported with its line, a file over `_MAX_FILE_BYTES` by ValueError."""
+    with open(path, "rb") as fh:  # 64 KiB reads: one read of the cap would allocate it all
+        data = b"".join(islice(iter(lambda: fh.read(1 << 16), b""), (_MAX_FILE_BYTES >> 16) + 1))
+    if len(data) > _MAX_FILE_BYTES:
+        raise ValueError(f"{path}: a circuit file holds at most {_MAX_FILE_BYTES} bytes")
+    data = data.removeprefix(codecs.BOM_UTF8)
     try:
-        text = data.decode("utf-8-sig")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        data = exc.object  # the bytes after any byte-order mark, which exc.start indexes
         line = len(_LINE_BREAK.findall(data[:exc.start].decode("utf-8"))) + 1
         raise ParseError(f"byte 0x{data[exc.start]:02x} is not UTF-8", line) from None
     return parse(text)

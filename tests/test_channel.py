@@ -1,7 +1,9 @@
+import gc
 import json
 import math
 import os
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -227,7 +229,7 @@ def test_monte_carlo_pool_holds_no_more_threads_than_chunks(monkeypatch):
     sizes = []
 
     class CountedThread(threading.Thread):
-        # Counts the threads a call starts, and runs them as they are.
+        # Counts the helper threads a call starts, and runs them as they are.
         def start(self):
             sizes[-1] += 1
             super().start()
@@ -236,7 +238,8 @@ def test_monte_carlo_pool_holds_no_more_threads_than_chunks(monkeypatch):
     for trials, workers in ((10, 64), (2 * CHUNK_TRIALS + 1, 64), (2 * CHUNK_TRIALS + 1, 2)):
         sizes.append(0)
         monte_carlo_distribution(1, trials, np.random.default_rng(7), workers)
-    assert sizes == [1, 3, 2]
+    # the caller runs chunks too: one chunk or one worker starts no thread
+    assert sizes == [0, 2, 1]
 
 
 @pytest.mark.parametrize("workers", [1, 2, 8])
@@ -256,6 +259,36 @@ def test_a_failing_chunk_raises_in_the_caller(workers):
 
 
 @pytest.mark.parametrize("workers", [1, 2, 8])
+def test_a_failing_chunk_leaves_no_reference_cycle(workers):
+    # The exception raised keeps no path back to itself through the frames of
+    # its traceback, so once it is handled they and all they hold (the failing
+    # chunk's arrays, every chunk stream) are freed at once, not at the cycle
+    # collector's next full pass.
+    class Held:
+        pass
+
+    refs = []
+
+    def chunk(size, stream):
+        if size == 5:  # the last of 9 chunks
+            held = Held()
+            refs.append(weakref.ref(held))
+            raise ArithmeticError("chunk failed")
+        return size
+
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            channel._map_chunks(chunk, 8 * CHUNK_TRIALS + 5, np.random.default_rng(0), workers)
+        except ArithmeticError:
+            pass
+        assert len(refs) == 1 and refs[0]() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 8])
 def test_of_several_failing_chunks_the_lowest_raises(workers):
     # each chunk names its own stream; a serial loop would stop at chunk 0
     def chunk(size, stream):
@@ -267,50 +300,61 @@ def test_of_several_failing_chunks_the_lowest_raises(workers):
 
 
 def test_a_failing_chunk_stops_the_other_threads():
-    # The first chunk raises; any other waits until the thread that ran it has
-    # ended, so it ends only after the failing thread has emptied the iterator.
-    lock, calls = threading.Lock(), []
+    # The first chunk a helper thread takes raises, once the caller has taken
+    # one. Every other chunk, the caller's among them, waits until that helper
+    # has ended, which it does only after emptying the iterator, so no worker
+    # takes a second chunk. Every wait is bounded, so a regression fails, not hangs.
+    for workers in (2, 8):
+        caller, lock, calls, failing = threading.current_thread(), threading.Lock(), [], []
+        picked, caller_ran = threading.Event(), threading.Event()
 
-    def chunk(size, stream):
-        with lock:
-            calls.append(threading.current_thread())
-            fails = len(calls) == 1
-        if fails:
-            raise ArithmeticError("chunk failed")
-        calls[0].join(timeout=30)
-        return size
+        def chunk(size, stream):
+            me = threading.current_thread()
+            with lock:
+                calls.append(me)
+                if me is not caller and not failing:
+                    failing.append(me)
+                    picked.set()
+            if me is caller:
+                caller_ran.set()
+            picked.wait(timeout=30)
+            if failing[0] is me:
+                caller_ran.wait(timeout=30)
+                raise ArithmeticError("chunk failed")
+            failing[0].join(timeout=30)
+            return size
 
-    with pytest.raises(ArithmeticError, match="^chunk failed$"):
-        channel._map_chunks(chunk, 8 * CHUNK_TRIALS, np.random.default_rng(0), 2)
-    assert 1 <= len(calls) < 8
+        with pytest.raises(ArithmeticError, match="^chunk failed$"):
+            channel._map_chunks(chunk, 16 * CHUNK_TRIALS, np.random.default_rng(0), workers)
+        assert calls.count(caller) == 1
+        assert 2 <= len(calls) <= workers
 
 
 @pytest.mark.parametrize("workers", [1, 2, 8])
 def test_an_interrupted_join_stops_the_threads_and_reraises(monkeypatch, workers):
-    # The first join raises as Ctrl-C would. Each chunk waits until the caller
-    # joins again, which it does only after emptying the chunk iterator.
-    interrupted, rejoined, ran = threading.Event(), threading.Event(), []
+    # The caller's chunk raises as Ctrl-C would. Each helper's chunk waits until
+    # the caller joins it, which it does only after emptying the chunk iterator.
+    caller, joined, ran = threading.current_thread(), threading.Event(), []
 
-    class InterruptedThread(threading.Thread):
+    class JoinedThread(threading.Thread):
         def join(self, timeout=None):
-            if not interrupted.is_set():
-                interrupted.set()
-                raise KeyboardInterrupt
-            rejoined.set()
+            joined.set()
             super().join(timeout)
 
     def chunk(size, stream):
         ran.append(size)
-        rejoined.wait(timeout=30)
+        if threading.current_thread() is caller:
+            raise KeyboardInterrupt
+        joined.wait(timeout=30)
         return size
 
-    monkeypatch.setattr(channel, "Thread", InterruptedThread)
+    monkeypatch.setattr(channel, "Thread", JoinedThread)
     before = threading.active_count()
     with pytest.raises(KeyboardInterrupt):
         channel._map_chunks(chunk, 16 * CHUNK_TRIALS, np.random.default_rng(0), workers)
     chunks_run, alive = len(ran), threading.active_count()
-    rejoined.set()  # frees any thread a map that returned early left waiting
-    assert chunks_run <= workers
+    joined.set()  # frees any thread a map that returned early left waiting
+    assert 1 <= chunks_run <= workers
     assert alive == before
 
 
@@ -333,15 +377,15 @@ def test_monte_carlo_counts_survive_a_refused_pin(monkeypatch):
 
 
 @pytest.mark.parametrize("mask, workers, pinned", [
-    ({0, 1, 2, 3}, 2, [0, 1]),
-    ({0, 1, 2, 3}, 8, [0, 0, 1, 1, 2, 2, 3, 3]),
+    ({0, 1, 2, 3}, 2, [1]),
+    ({0, 1, 2, 3}, 8, [0, 1, 1, 2, 2, 3, 3]),
     ({0, 1, 2, 3}, 1, []),
     ({3}, 2, []),
 ])
 def test_monte_carlo_pool_pins_threads_round_robin(monkeypatch, mask, workers, pinned):
     calls = []
-    # Every pinned thread waits here until all have started: none goes idle
-    # early, so the pool starts all of its threads.
+    # Every pinned helper waits here until all have started: none goes idle
+    # early, so the pool starts all of its helpers.
     started = threading.Barrier(max(len(pinned), 1), timeout=30)
 
     def record(pid, cpus):
@@ -351,7 +395,7 @@ def test_monte_carlo_pool_pins_threads_round_robin(monkeypatch, mask, workers, p
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: mask, raising=False)
     monkeypatch.setattr(os, "sched_setaffinity", record, raising=False)
     monte_carlo_block_error(1, 2, 8 * CHUNK_TRIALS, np.random.default_rng(11), workers)
-    # each pool thread pins itself (pid 0) to one CPU of the mask
+    # each helper, never the caller, pins itself (pid 0) to one CPU of the mask
     assert all(pid == 0 and len(cpus) == 1 for pid, cpus in calls)
     assert sorted(cpu for _, cpus in calls for cpu in cpus) == pinned
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import qsignal
-from qsignal import cli, execute, load
+from qsignal import cli, dsl, execute, load
 from qsignal.cli import main
 
 BELL_TEXT = "qubits 2\nh 1\ncnot 1 0\nmeasure 0\nmeasure 1\n"
@@ -253,6 +253,16 @@ def test_run_names_the_line_of_a_byte_that_is_not_utf8(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err == "error: byte 0xe9 is not UTF-8, line 3\n"
+
+
+def test_run_refuses_a_file_over_the_byte_cap_in_one_line(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(dsl, "_MAX_FILE_BYTES", len(BELL_TEXT) - 1)
+    path = tmp_path / "long.qc"
+    path.write_text(BELL_TEXT, encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", str(path), "--seed", "1")
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {path}: a circuit file holds at most {len(BELL_TEXT) - 1} bytes\n"
 
 
 def test_a_closed_reader_ends_the_command_quietly(tmp_path):

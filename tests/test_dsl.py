@@ -147,6 +147,23 @@ def test_load_ignores_a_leading_byte_order_mark(tmp_path):
         load(path)
 
 
+def test_load_refuses_a_file_over_the_byte_cap(tmp_path, monkeypatch):
+    path = tmp_path / "cap.qc"
+    long_text = "qubits 1\n" + "h 0\n" * 50000  # read in four 64 KiB blocks
+    path.write_text(long_text, encoding="utf-8")
+    assert load(path) == parse(long_text)
+    monkeypatch.setattr(dsl, "_MAX_FILE_BYTES", 64)
+    text = "qubits 2\nh 1\ncnot 1 0\n# "
+    path.write_bytes((text + "-" * (64 - len(text))).encode())
+    assert load(path) == parse(BELL_TEXT)
+    path.write_bytes((text + "-" * (65 - len(text))).encode())
+    with pytest.raises(ValueError) as excinfo:
+        load(path)
+    # not a ParseError, each of which but one names a line
+    assert type(excinfo.value) is ValueError
+    assert str(excinfo.value) == f"{path}: a circuit file holds at most 64 bytes"
+
+
 def test_load_fails_on_a_byte_order_mark_that_does_not_lead(tmp_path):
     path = tmp_path / "bom.qc"
     path.write_bytes("\ufeffqubits 2\n\ufeffh 1\n".encode())

@@ -85,16 +85,20 @@ def test_numpy_imported_first_keeps_its_default_pool():
     assert with_qsignal == numpy_alone
 
 
-def test_cli_loads_no_module_its_commands_do_not_run():
+def test_cli_loads_no_module_its_commands_do_not_run(tmp_path):
     # The Monte Carlo chunks run on plain threads and CSV output imports csv
-    # when asked for: a thread pool would bring logging, queue and more.
-    unused = ["concurrent.futures", "logging", "queue", "csv"]
+    # when asked for: a thread pool would bring logging, queue and more. A
+    # byte-order mark is stripped as a prefix, not by the utf-8-sig codec.
+    unused = ["concurrent.futures", "logging", "queue", "csv", "encodings.utf_8_sig"]
+    bom = tmp_path / "bom.qc"
+    bom.write_bytes(b"\xef\xbb\xbfqubits 2\nh 1\ncnot 1 0\nmeasure 0\nmeasure 1\n")
     after_import, after_block = run_fresh(
         f"import io, sys\nunused = {unused!r}\nimport qsignal.cli\n"
         "loaded = [m for m in unused if m in sys.modules]\n"
         "sys.stdout = io.StringIO()\n"
         "code = qsignal.cli.main(['block', '--n', '2', '--bit', '1', '--trials', '200000',"
         " '--seed', '1', '--workers', '2'])\n"
+        f"code += qsignal.cli.main(['run', {str(bom)!r}, '--seed', '0'])\n"
         "sys.stdout = sys.__stdout__\n"
         "assert code == 0\n"
         "print(json.dumps([loaded, [m for m in unused if m in sys.modules]]))")
