@@ -278,13 +278,13 @@ def _chunk_sizes(trials: int) -> list[int]:
 
 def _map_chunks(fn, trials: int, rng: np.random.Generator, workers: int) -> list:
     """``fn(size, stream)`` of each fixed-size chunk of ``trials``, chunk i on child
-    stream i into slot i. The caller, as worker 0, and ``min(workers, chunks) - 1``
-    helper threads each take the next chunk until none is left. A worker whose chunk
-    raises (a Ctrl-C lands in the caller's) empties the shared chunk iterator, so each
-    worker stops after its chunk in flight. Once the caller is out of chunks and has
-    joined every helper, the lowest failing chunk's exception, the one a serial loop
-    would raise, is raised here: chunks are handed out in order, so all below a failing
-    one have run. A Ctrl-C in those joins leaves each helper its chunk in flight.
+    stream i into slot i. The caller, as worker 0, starts ``min(workers, chunks) - 1``
+    helper threads, then each worker takes the next chunk until none is left. A failing
+    chunk (a Ctrl-C lands in the caller's) or helper start (entry -1) empties the shared
+    chunk iterator, so each worker stops after its chunk in flight. Once the caller is out
+    of chunks and has joined every live helper, the lowest entry's exception, the one a
+    serial loop would raise, is raised here: chunks are handed out in order, so all below
+    a failing one have run. A Ctrl-C in those joins leaves each helper its chunk in flight.
 
     With two CPUs or more in the caller's affinity mask, helper t first binds itself
     (pid 0 is the calling thread on Linux) to CPU t of that mask, round-robin; the
@@ -304,7 +304,10 @@ def _map_chunks(fn, trials: int, rng: np.random.Generator, workers: int) -> list
                 os.sched_setaffinity(0, {cpus[t % len(cpus)]})
             except OSError:
                 pass
+        i = -1  # the entry of a failure before any chunk: the caller's failed start
         try:
+            for thread in () if t else pool:
+                thread.start()
             for i in chunks:
                 results[i] = fn(sizes[i], streams[i])
         except BaseException as exc:
@@ -312,11 +315,10 @@ def _map_chunks(fn, trials: int, rng: np.random.Generator, workers: int) -> list
             for _ in chunks:
                 pass
     pool = [Thread(target=run, args=(t,)) for t in helpers]
-    for thread in pool:
-        thread.start()
     run(0)
     for thread in pool:
-        thread.join()
+        if thread.is_alive():
+            thread.join()
     if errors:
         raise errors.pop(min(errors))  # popped: left in, its traceback would reach it (a cycle)
     return results

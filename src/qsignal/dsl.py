@@ -77,6 +77,7 @@ _LINE_BREAK = re.compile(r"\r\n?|\n")
 _MAX_DIGITS = 640
 # `load` reads at most 64 KiB past this, so no file can fill memory.
 _MAX_FILE_BYTES = 1 << 24
+_MAX_SOURCES = 1 << 20  # sources `_compile` holds in all; k measures can name k(k+1)/2
 # `_sample` draws at most this many uniforms (2 MiB) per batch of shots.
 _BATCH_UNIFORMS = 1 << 18
 # A compiled ``measure``: ``(constant, sources)``, a fair coin k being ``(0, (k,))``.
@@ -184,13 +185,15 @@ def _compile(circuit: Circuit) -> tuple[_Outcome, ...]:
     k-th measurement. Entry k is ``(constant, sources)``: the k-th outcome
     is ``constant`` XOR the outcomes of the random measurements in
     ``sources``. A fair coin k is its own one source, ``(0, (k,))``; a
-    determined outcome's sources are all earlier coins.
+    determined outcome's sources are all earlier coins. Sources are counted as
+    entries are made, and the first measurement past `_MAX_SOURCES` raises ValueError.
     """
     n = circuit.num_qubits
     xs = [1 << q for q in range(n)] + [0] * n
     zs = [0] * n + [1 << q for q in range(n)]
     signs = [0] * (2 * n)  # destabilizer signs are carried, never read
     outcomes: list[_Outcome] = []
+    held = 0
     for ins in circuit.instructions:
         a = 1 << ins.args[0]
         if ins.op != "measure":
@@ -225,6 +228,9 @@ def _compile(circuit: Circuit) -> tuple[_Outcome, ...]:
             sign = 1 << len(outcomes) + 1
             xs[p], zs[p], signs[p] = 0, a, sign
         sources, rest = [], sign >> 1
+        held += rest.bit_count()
+        if held > _MAX_SOURCES:
+            raise ValueError(f"a compiled circuit holds at most {_MAX_SOURCES} outcome sources")
         while rest:
             sources.append((rest & -rest).bit_length() - 1)
             rest &= rest - 1

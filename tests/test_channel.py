@@ -358,6 +358,70 @@ def test_an_interrupted_join_stops_the_threads_and_reraises(monkeypatch, workers
     assert alive == before
 
 
+def _map_with_failing_starts(monkeypatch, workers, start):
+    # Maps 64 chunks, each helper's start being ``start(real_start)``; every chunk
+    # waits until the caller joins a helper. Returns the exception the map raised,
+    # the threads it left alive at return, and the chunks run once all are released.
+    joined, ran = threading.Event(), []
+
+    class FailingThread(threading.Thread):
+        def start(self):
+            start(super().start)
+
+        def join(self, timeout=None):
+            joined.set()
+            super().join(timeout)
+
+    def chunk(size, stream):
+        ran.append(size)
+        joined.wait(timeout=30)
+        return size
+
+    monkeypatch.setattr(channel, "Thread", FailingThread)
+    before = threading.active_count()
+    with pytest.raises(BaseException) as excinfo:
+        channel._map_chunks(chunk, 64 * CHUNK_TRIALS, np.random.default_rng(0), workers)
+    alive = threading.active_count() - before
+    joined.set()  # frees any thread a map that returned early left waiting
+    for thread in threading.enumerate():
+        if isinstance(thread, FailingThread):
+            thread.join(timeout=30)
+    return excinfo.value, alive, len(ran)
+
+
+@pytest.mark.parametrize("workers", [2, 3, 8])
+def test_an_interrupted_start_stops_the_threads_and_reraises(monkeypatch, workers):
+    # A Ctrl-C lands in the first helper's start, once that helper runs.
+    started = []
+
+    def start(thread_start):
+        thread_start()
+        started.append(1)
+        raise KeyboardInterrupt
+
+    exc, alive, chunks_run = _map_with_failing_starts(monkeypatch, workers, start)
+    assert type(exc) is KeyboardInterrupt
+    assert alive == 0
+    assert chunks_run <= len(started) == 1
+
+
+@pytest.mark.parametrize("workers", [3, 8])
+def test_a_refused_start_stops_the_threads_and_reraises(monkeypatch, workers):
+    # The second helper's start is refused, as when no thread can be made.
+    started = []
+
+    def start(thread_start):
+        if started:
+            raise RuntimeError("can't start new thread")
+        thread_start()
+        started.append(1)
+
+    exc, alive, chunks_run = _map_with_failing_starts(monkeypatch, workers, start)
+    assert type(exc) is RuntimeError and str(exc) == "can't start new thread"
+    assert alive == 0
+    assert chunks_run <= len(started) == 1
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
                     reason="needs an affinity mask of at least 2 CPUs")
 def test_monte_carlo_pool_leaves_the_callers_affinity_alone():

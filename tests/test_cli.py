@@ -265,6 +265,18 @@ def test_run_refuses_a_file_over_the_byte_cap_in_one_line(capsys, tmp_path, monk
     assert err == f"error: {path}: a circuit file holds at most {len(BELL_TEXT) - 1} bytes\n"
 
 
+def test_run_refuses_a_map_over_the_source_cap_in_one_line(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(dsl, "_MAX_SOURCES", 2)  # bell.qc's two outcomes name one coin each
+    path = tmp_path / "bell.qc"
+    path.write_text(BELL_TEXT, encoding="utf-8")
+    assert run_cli(capsys, "run", str(path), "--seed", "1")[0] == 0
+    path.write_text(BELL_TEXT + "measure 1\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "run", str(path), "--seed", "1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: a compiled circuit holds at most 2 outcome sources\n"
+
+
 def test_a_closed_reader_ends_the_command_quietly(tmp_path):
     # The child reads its stdin to the end before it runs the command, so the
     # parent's read end of the child's stdout is closed before a byte is written.

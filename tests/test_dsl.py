@@ -164,6 +164,23 @@ def test_load_refuses_a_file_over_the_byte_cap(tmp_path, monkeypatch):
     assert str(excinfo.value) == f"{path}: a circuit file holds at most 64 bytes"
 
 
+def test_compile_refuses_a_map_over_the_source_cap(monkeypatch):
+    # A parity chain: round k's second outcome XORs in every coin so far, so the
+    # sources grow as the square of the file; a chain of 3 rounds holds 9.
+    chain = "qubits 2\n" + "h 0\nmeasure 0\ncnot 0 1\nmeasure 1\n" * 3
+    monkeypatch.setattr(dsl, "_MAX_SOURCES", 9)
+    assert sum(len(sources) for _, sources in dsl._compile(parse(chain))) == 9
+    over = parse(chain + "h 0\nmeasure 0\n")  # one more coin, its own one source
+    rng = np.random.default_rng(0)
+    for refuse in (dsl._compile, lambda circuit: execute(circuit, 1, rng)):
+        with pytest.raises(ValueError) as excinfo:
+            refuse(over)
+        # not a ParseError, each of which but one names a line
+        assert type(excinfo.value) is ValueError
+        assert str(excinfo.value) == "a compiled circuit holds at most 9 outcome sources"
+    assert rng.random() == np.random.default_rng(0).random()  # execute drew nothing
+
+
 def test_load_fails_on_a_byte_order_mark_that_does_not_lead(tmp_path):
     path = tmp_path / "bom.qc"
     path.write_bytes("\ufeffqubits 2\n\ufeffh 1\n".encode())
