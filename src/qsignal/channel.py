@@ -41,6 +41,7 @@ ANCILLA_QUBIT = 2
 CHUNK_TRIALS = 1 << 16
 # Workers per call, the caller and its helper threads, checked before any stream is spawned.
 _MAX_WORKERS = 64
+_SLICE = 1 << 15  # uniforms per slice of a block chunk's row: a 256 KiB buffer
 
 
 @dataclass(frozen=True)
@@ -250,22 +251,26 @@ def _decoded_ones(outcomes: tuple[_Outcome, ...], n_pairs: int, size: int,
     the receiver's bit is its last outcome. Pair p owns rows ``p * m`` to
     ``p * m + m - 1`` of ``size`` uniforms each, as
     ``stream.random((n_pairs * m, size))`` lays them out for its ``m``
-    measurements, but only the receiver's source rows are drawn, and
-    `_draw` evaluates its entry from them. `_skip` passes the other rows,
+    measurements, but only the receiver's source rows are drawn, in
+    consecutive slices of at most `_SLICE` thresholded once into coin rows,
+    and `_draw` evaluates its entry from them. `_skip` passes the other rows,
     so every row keeps its position.
     """
     m = len(outcomes)
     receiver = outcomes[-1:]
     _, sources = receiver[0]
-    u = np.empty((m, size))  # rows no source names are never written, so never paged in
+    coins = np.empty((m, size), dtype=bool)  # rows no source names are never written, so never paged in
+    u = np.empty(min(size, _SLICE))
     any_one = np.zeros(size, dtype=bool)
     drawn = 0
     for p in range(n_pairs):
         for k in sources:
             _skip(stream, (p * m + k - drawn) * size)
-            stream.random(out=u[k])
+            for start in range(0, size, _SLICE):
+                part = u[:min(_SLICE, size - start)]
+                np.greater_equal(stream.random(out=part), 0.5, out=coins[k, start:start + len(part)])
             drawn = p * m + k + 1
-        any_one |= _draw(receiver, u)[0]
+        any_one |= _draw(receiver, coins)[0]
     return int(np.count_nonzero(any_one))
 
 

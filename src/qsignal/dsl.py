@@ -238,16 +238,15 @@ def _compile(circuit: Circuit) -> tuple[_Outcome, ...]:
     return tuple(outcomes)
 
 
-def _draw(outcomes: tuple[_Outcome, ...], uniforms: np.ndarray) -> np.ndarray:
+def _draw(outcomes: tuple[_Outcome, ...], coins: np.ndarray) -> np.ndarray:
     """Outcome bits of the given compiled entries, one row per entry and one
-    column per shot, by one rule: an entry's bit is its constant XOR, for
-    each source j, whether ``uniforms[j]`` is at least 1/2. Row j of
-    ``uniforms`` holds the draws for the j-th ``measure``, and only source
-    rows are read, so a subset of entries (the receiver's alone, say) needs
-    only its sources drawn. Every Born probability is 0, 1/2 or 1, so this
-    is the dense rule (outcome 0 iff the draw is below p0) bit for bit."""
-    coins = {j: uniforms[j] >= 0.5 for j in set().union(*(sources for _, sources in outcomes))}
-    bits = np.empty((len(outcomes), *uniforms.shape[1:]), dtype=bool)
+    column per shot, by one rule: an entry's bit is its constant XOR its
+    source coins. Row j of the bool ``coins`` is ``uniforms[j] >= 0.5``
+    for the draws of the j-th ``measure``, and only source rows are read,
+    so a subset of entries (the receiver's alone, say) needs only its
+    sources drawn and thresholded. Every Born probability is 0, 1/2 or 1,
+    so this is the dense rule (outcome 0 iff the draw is below p0) bit for bit."""
+    bits = np.empty((len(outcomes), *coins.shape[1:]), dtype=bool)
     for k, (constant, sources) in enumerate(outcomes):
         if sources:  # written in one pass from its first source
             np.not_equal(coins[sources[0]], bool(constant), out=bits[k])
@@ -263,13 +262,19 @@ def _sample(outcomes: tuple[_Outcome, ...], shots: int, rng: np.random.Generator
     batch by batch, with the uniforms laid out as in
     ``rng.random((shots, measurements)).T``.
 
-    A batch draws at most `_BATCH_UNIFORMS` uniforms; draws are
-    sequential, so the stream does not depend on the batch size.
+    A batch draws at most `_BATCH_UNIFORMS` uniforms and thresholds the rows
+    `_draw` reads, one 1-D compare each; draws are sequential, so the stream
+    does not depend on the batch size.
     """
     shots = _check_count("shots", shots, MAX_TRIALS)
     batch = max(1, _BATCH_UNIFORMS // max(1, len(outcomes)))
+    read = set().union(*(sources for _, sources in outcomes))
     for start in range(0, shots, batch):
-        yield _draw(outcomes, rng.random((min(batch, shots - start), len(outcomes))).T)
+        uniforms = rng.random((min(batch, shots - start), len(outcomes))).T
+        coins = np.empty(uniforms.shape, dtype=bool)  # rows no source names are never read
+        for j in read:
+            np.greater_equal(uniforms[j], 0.5, out=coins[j])
+        yield _draw(outcomes, coins)
 
 
 def execute(circuit: Circuit, shots: int, rng: np.random.Generator) -> list[RunRecord]:

@@ -25,6 +25,31 @@ class FakeRandom:
         return self._values[0]
 
 
+# Draws at and just below the 1/2 threshold, and far below it.
+EDGE_DRAWS = [0.5, np.nextafter(0.5, 0.0), 0.0]
+
+
+class EdgeStream:
+    """A Generator stand-in whose every uniform is one of EDGE_DRAWS, picked by
+    a seeded stream's uniform at the same position, so the values do not depend
+    on how the draws are split into calls. Each array it returns is kept in
+    ``drawn``. It has no bit generator that `channel._skip` can jump, so
+    skipped uniforms are drawn and kept too.
+    """
+
+    bit_generator = None
+
+    def __init__(self, seed):
+        self._stream = np.random.default_rng(seed)
+        self.drawn = []
+
+    def random(self, size=None, out=None):
+        values = self._stream.random(size, out=out)
+        values[...] = np.take(EDGE_DRAWS, (values * len(EDGE_DRAWS)).astype(int))
+        self.drawn.append(values.copy())
+        return values
+
+
 def random_state(rng: np.random.Generator, num_qubits: int) -> StateVector:
     """Haar-ish random pure state for property tests."""
     amps = rng.standard_normal(1 << num_qubits) + 1j * rng.standard_normal(1 << num_qubits)
@@ -42,7 +67,7 @@ def joint_counts(trials: int, rng: np.random.Generator, workers: int = 1) -> np.
     outcomes = _COMPILED_CIRCUITS[AliceAction.MEASURE]
 
     def chunk_table(size: int, stream: np.random.Generator) -> np.ndarray:
-        alice, bob = _draw(outcomes, stream.random((len(outcomes), size)))
+        alice, bob = _draw(outcomes, stream.random((len(outcomes), size)) >= 0.5)
         return np.bincount(2 * alice + bob, minlength=4).reshape(2, 2)
 
     return sum(_map_chunks(chunk_table, trials, rng, workers))

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -32,7 +33,8 @@ from qsignal.channel import CHUNK_TRIALS, MAX_TRIALS, binary_entropy
 from qsignal.cli import main
 from qsignal.protocol import MAX_PAIRS
 
-from conftest import joint_counts
+import dense
+from conftest import EdgeStream, joint_counts
 
 
 # --- exact distribution -------------------------------------------------------
@@ -493,27 +495,32 @@ def compiled(action):
     return dsl._compile(protocol._protocol_circuit(AliceAction(action)))
 
 
+def drawn_chunk(outcomes, n_pairs, size, stream):
+    """Reference chunk count: each pair draws all its ``(measurements, size)``
+    uniforms, the sender's included."""
+    any_one = np.zeros(size, dtype=bool)
+    for _ in range(n_pairs):
+        any_one |= dsl._draw(outcomes, stream.random((len(outcomes), size)) >= 0.5)[-1]
+    return int(np.count_nonzero(any_one))
+
+
 def drawn_decoded_ones(action, n_pairs, blocks, rng):
-    """Reference block count: each pair of a chunk draws all its
-    ``(measurements, size)`` uniforms, the sender's included."""
-    outcomes = compiled(action)
-    sizes = channel._chunk_sizes(blocks)
-    count = 0
-    for size, stream in zip(sizes, rng.spawn(len(sizes))):
-        any_one = np.zeros(size, dtype=bool)
-        for _ in range(n_pairs):
-            any_one |= dsl._draw(outcomes, stream.random((len(outcomes), size)))[-1]
-        count += int(np.count_nonzero(any_one))
-    return count
+    """Reference block count, chunk i drawn in full from child stream i."""
+    outcomes, sizes = compiled(action), channel._chunk_sizes(blocks)
+    return sum(drawn_chunk(outcomes, n_pairs, size, stream) for size, stream in zip(sizes, rng.spawn(len(sizes))))
 
 
 @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda bg: bg.__name__)
 @pytest.mark.parametrize("bit", [0, 1])
 def test_skipped_uniforms_keep_their_stream_positions(bit_generator, bit):
     # rows the receiver does not read are jumped or discarded; the rows it
-    # reads must still sit where drawing every row puts them
-    for n_pairs in range(1, 13):
-        blocks = CHUNK_TRIALS + 1000 * n_pairs + 1  # a full chunk and a partial one
+    # reads must still sit where drawing every row puts them. Each count is a
+    # full chunk and a partial one; the widest partial chunks end in a short slice.
+    wide = 40001
+    assert wide > channel._SLICE and wide % channel._SLICE
+    partials = [(n_pairs, 1000 * n_pairs + 1) for n_pairs in range(1, 13)] + [(1, wide), (3, wide)]
+    for n_pairs, partial in partials:
+        blocks = CHUNK_TRIALS + partial
         expected = drawn_decoded_ones(bit, n_pairs, blocks, np.random.Generator(bit_generator(n_pairs)))
         for workers in (1, 2):
             rng = np.random.Generator(bit_generator(n_pairs))
@@ -550,6 +557,33 @@ def test_block_chunks_compute_only_the_receivers_uniforms(n_pairs):
     assert sum(values.size for values in send1.computed) == n_pairs * size
     np.testing.assert_array_equal(np.concatenate(send1.computed), rows[1::2].ravel())
     assert count == np.count_nonzero((rows[1::2] >= 0.5).any(axis=0))
+
+
+@pytest.mark.parametrize("n_pairs", [1, 3])
+def test_block_chunks_threshold_edge_draws_as_the_dense_oracle(n_pairs):
+    # every uniform is 1/2, just below it or 0, in a chunk of two slices, the
+    # last one short: a draw of exactly 1/2 must read as outcome 1
+    size, outcomes, stream = channel._SLICE + 7, compiled(1), EdgeStream(22)
+    count = channel._decoded_ones(outcomes, n_pairs, size, stream)
+    # the stand-in cannot jump, so it drew every row, the sender's too
+    rows = np.concatenate(stream.drawn).reshape(n_pairs, 2, size)
+    assert (rows[:, 1] == 0.5).any()
+    circuit = protocol._protocol_circuit(AliceAction.MEASURE)
+    ones = np.any([dense.run_batch(circuit, pair)[-1] for pair in rows], axis=0)
+    assert count == np.count_nonzero(ones) == drawn_chunk(outcomes, n_pairs, size, EdgeStream(22))
+
+
+def test_block_chunk_peak_memory_is_below_one_float_row():
+    # a chunk holds a 256 KiB slice buffer, 128 KiB of coin rows and 64 KiB
+    # each for the OR and `_draw`'s row, never a whole 512 KiB float64 row
+    outcomes, stream = compiled(1), np.random.default_rng(23)
+    tracemalloc.start()
+    try:
+        channel._decoded_ones(outcomes, 10, CHUNK_TRIALS, stream)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 640 << 10
 
 
 def test_joint_counts_factorize():

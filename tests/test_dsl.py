@@ -34,6 +34,7 @@ from qsignal.dsl import MAX_TRIALS
 from qsignal.statevector import _KERNELS
 
 import dense
+from conftest import EDGE_DRAWS, EdgeStream
 
 BELL_TEXT = "qubits 2\nh 1\ncnot 1 0"
 CIRCUITS = Path(__file__).resolve().parent.parent / "circuits"
@@ -403,9 +404,6 @@ def test_executor_gates_are_clifford():
     assert compiled == set(gates)
 
 
-EDGE_DRAWS = [0.5, np.nextafter(0.5, 0.0), 0.0]
-
-
 @given(circuits(max_ops=30), st.integers(0, 2**32 - 1), st.integers(1, 40))
 @settings(max_examples=300, deadline=None)
 def test_compiled_executor_matches_the_dense_oracle(circuit, seed, shots):
@@ -426,13 +424,15 @@ def test_compiled_executor_matches_the_dense_oracle(circuit, seed, shots):
         assert constant in (0, 1) and all(i < j for i, j in zip(sources, sources[1:]))
         assert all(j <= k and outcomes[j] == (0, (j,)) for j in sources)
         assert (outcomes[k] == (0, (k,))) == (k in sources)
-    bits, expected = dsl._draw(outcomes, uniforms), dense.run_batch(circuit, uniforms)
+    coins = uniforms >= 0.5
+    bits, expected = dsl._draw(outcomes, coins), dense.run_batch(circuit, uniforms)
     assert bits.dtype == expected.dtype and bits.shape == expected.shape
     assert bits.tobytes() == expected.tobytes()
-    # one entry alone gives its own row, reading only its source rows
+    # one entry alone gives its own row, reading only its source rows: every
+    # other row is flipped, so a read of one would flip the entry's bits
     for k, (_, sources) in enumerate(outcomes):
-        masked = np.full_like(uniforms, np.nan)
-        masked[list(sources)] = uniforms[list(sources)]
+        masked = ~coins
+        masked[list(sources)] = coins[list(sources)]
         alone = dsl._draw(outcomes[k:k + 1], masked)
         assert alone.shape == (1, shots) and alone.tobytes() == bits[k:k + 1].tobytes()
     if m > 12:
@@ -462,9 +462,24 @@ def test_dense_oracle_runs_no_statevector_code(monkeypatch, path):
     rng = np.random.default_rng(5)
     uniforms = rng.random((len(outcomes), 64))
     uniforms = np.where(rng.random(uniforms.shape) < 0.5, rng.choice(EDGE_DRAWS, size=uniforms.shape), uniforms)
-    assert dense.run_batch(circuit, uniforms).tobytes() == dsl._draw(outcomes, uniforms).tobytes()
+    assert dense.run_batch(circuit, uniforms).tobytes() == dsl._draw(outcomes, uniforms >= 0.5).tobytes()
     if len(outcomes) <= 12:  # the enumeration holds all 2**m records
         assert dense.branches(circuit)[1].sum() == 1.0
+
+
+@pytest.mark.parametrize("path", [CIRCUITS / "protocol_send1.qc", GOLDEN / "mixed12.qc"], ids=lambda p: p.stem)
+def test_sample_thresholds_edge_draws_as_the_dense_oracle(path):
+    # every uniform is 1/2, just below it or 0, drawn batch by batch: the
+    # coins `_sample` thresholds give the oracle's bits, so a draw of exactly
+    # 1/2 must read as outcome 1
+    circuit = load(path)
+    outcomes = dsl._compile(circuit)
+    stream = EdgeStream(21)
+    with mock.patch.object(dsl, "_BATCH_UNIFORMS", 64):
+        bits = np.concatenate(list(dsl._sample(outcomes, 100, stream)), axis=1)
+    uniforms = np.concatenate(stream.drawn).T
+    assert len(stream.drawn) > 1 and (uniforms == 0.5).any()
+    assert bits.tobytes() == dense.run_batch(circuit, uniforms).tobytes()
 
 
 def test_executor_rejects_unknown_gates():
@@ -578,7 +593,7 @@ def test_mixed12_branches_are_an_affine_support():
         coins = [k for k, outcome in enumerate(outcomes) if outcome == (0, (k,))]
         uniforms = np.zeros((len(outcomes), 1 << len(coins)))
         uniforms[coins] = np.arange(1 << len(coins)) >> np.arange(len(coins))[:, None] & 1
-        support = {tuple(column) for column in dsl._draw(outcomes, uniforms).T.tolist()}
+        support = {tuple(column) for column in dsl._draw(outcomes, uniforms >= 0.5).T.tolist()}
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
