@@ -19,6 +19,9 @@ import json
 import os
 import re
 import sys
+import threading
+import types
+from _operator import _compare_digest
 from collections import Counter
 from dataclasses import asdict
 
@@ -67,6 +70,24 @@ def _bit_string(text: str) -> str:
     return text
 
 
+def _default_rng(seed: int) -> np.random.Generator:
+    """``np.random.default_rng(seed)``. Its first call imports numpy.random,
+    whose ``secrets`` loads ``hmac`` for ``compare_digest`` alone, and with it
+    OpenSSL's libcrypto (3.6 MiB of RSS). While no other thread can see it,
+    that import gets a stub ``hmac``; a later ``import hmac`` gets the real one."""
+    if threading.active_count() == 1 and not {"numpy.random", "hmac", "_hashlib"} & sys.modules.keys():
+        stub = sys.modules["hmac"] = types.ModuleType("hmac")
+        stub.compare_digest = _compare_digest
+        try:
+            import numpy.random  # noqa: F401
+        except ImportError:
+            pass  # a secrets that needs more of hmac: imported again below
+        finally:
+            if sys.modules.get("hmac") is stub:
+                del sys.modules["hmac"]
+    return np.random.default_rng(seed)
+
+
 def cmd_exact(args) -> dict:
     return {"experiment": "exact", "bit": args.bit, **asdict(exact_distribution(args.bit))}
 
@@ -84,7 +105,7 @@ def cmd_ancilla(args) -> dict:
 
 def cmd_block(args) -> dict:
     estimate = monte_carlo_block_error(
-        args.bit, args.n, args.trials, np.random.default_rng(args.seed), args.workers
+        args.bit, args.n, args.trials, _default_rng(args.seed), args.workers
     )
     chan = ZChannel(args.n)
     # workers is an execution detail: the counts do not depend on it, and
@@ -127,7 +148,7 @@ _RUN_FIELDS = ["experiment", "file", "shots", "seed", "outcome", "count", "frequ
 
 def cmd_run(args) -> list[dict]:
     histogram = Counter()
-    for bits in _sample(_compile(load(args.file)), args.shots, np.random.default_rng(args.seed)):
+    for bits in _sample(_compile(load(args.file)), args.shots, _default_rng(args.seed)):
         outcomes, counts = np.unique(bits.T, axis=0, return_counts=True)
         for row, count in zip(outcomes.tolist(), counts.tolist()):
             histogram["".join("01"[b] for b in row)] += count
@@ -141,7 +162,7 @@ def cmd_run(args) -> list[dict]:
 
 def cmd_transmit(args) -> dict:
     bits = [int(c) for c in args.message]
-    decoded = transmit_message(bits, args.n, np.random.default_rng(args.seed))
+    decoded = transmit_message(bits, args.n, _default_rng(args.seed))
     return {
         "experiment": "transmit",
         "message": args.message,
