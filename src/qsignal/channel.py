@@ -235,9 +235,12 @@ def _skip(stream: np.random.Generator, count: int) -> None:
     PCG64 and PCG64DXSM make one double from one 64-bit output, so
     `advance` jumps exactly ``count`` draws in O(log count) steps. Other
     generators draw and discard: Philox advances in blocks of four
-    outputs, and MT19937 makes one double from two 32-bit words.
+    outputs, and MT19937 makes one double from two 32-bit words. Both
+    classes come from their own module: ``np.random.PCG64`` would import
+    the whole package, which `cli._default_rng` leaves unloaded.
     """
-    if type(stream.bit_generator) in (np.random.PCG64, np.random.PCG64DXSM):
+    from numpy.random._pcg64 import PCG64, PCG64DXSM
+    if type(stream.bit_generator) in (PCG64, PCG64DXSM):
         stream.bit_generator.advance(count)
     else:
         stream.random(count)

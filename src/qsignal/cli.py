@@ -21,9 +21,9 @@ import re
 import sys
 import threading
 import types
-from _operator import _compare_digest
 from collections import Counter
 from dataclasses import asdict
+from random import SystemRandom
 
 import numpy as np
 
@@ -71,21 +71,29 @@ def _bit_string(text: str) -> str:
 
 
 def _default_rng(seed: int) -> np.random.Generator:
-    """``np.random.default_rng(seed)``. Its first call imports numpy.random,
-    whose ``secrets`` loads ``hmac`` for ``compare_digest`` alone, and with it
-    OpenSSL's libcrypto (3.6 MiB of RSS). While no other thread can see it,
-    that import gets a stub ``hmac``; a later ``import hmac`` gets the real one."""
-    if threading.active_count() == 1 and not {"numpy.random", "hmac", "_hashlib"} & sys.modules.keys():
-        stub = sys.modules["hmac"] = types.ModuleType("hmac")
-        stub.compare_digest = _compare_digest
+    """``np.random.default_rng(seed)``, which is ``Generator(PCG64(seed))``.
+    The package ``numpy.random`` also loads its legacy half (``mtrand`` and
+    three more bit generators), and its ``secrets`` loads ``hmac`` and
+    ``base64``; no command uses them. While no other thread can see them, the
+    two imports below find a stub package that never runs its ``__init__``
+    and a stub ``secrets`` holding only ``randbits``; a later import gets the
+    real modules, and an ``ImportError`` falls back to the plain import."""
+    generator = None
+    if threading.active_count() == 1 and not {"numpy.random", "secrets"} & sys.modules.keys():
+        stubs = {"numpy.random": types.ModuleType("numpy.random"), "secrets": types.ModuleType("secrets")}
+        stubs["numpy.random"].__path__ = [os.path.join(np.__path__[0], "random")]
+        stubs["secrets"].randbits = SystemRandom().getrandbits  # what secrets.randbits is
+        sys.modules.update(stubs)
         try:
-            import numpy.random  # noqa: F401
+            from numpy.random._generator import Generator as generator
+            from numpy.random._pcg64 import PCG64
         except ImportError:
-            pass  # a secrets that needs more of hmac: imported again below
+            generator = None
         finally:
-            if sys.modules.get("hmac") is stub:
-                del sys.modules["hmac"]
-    return np.random.default_rng(seed)
+            for name, stub in stubs.items():
+                if sys.modules.get(name) is stub:
+                    del sys.modules[name]
+    return generator(PCG64(seed)) if generator else np.random.default_rng(seed)
 
 
 def cmd_exact(args) -> dict:

@@ -1,11 +1,16 @@
 """`import qsignal` exports exactly the public names it imports, and loads
 numpy without OpenBLAS's worker threads, leaving the environment as it
 found it; `import qsignal.cli` loads no module that only some commands
-use, OpenSSL's hashes included, and leaves a later ``import hmac`` the
-real module. Each case runs in a fresh interpreter, since a process loads
-numpy, numpy.random and OpenBLAS's thread count once."""
+use. A seeded command loads neither numpy.random's legacy half nor
+``secrets`` and OpenSSL's hashes, and a later ``import numpy.random``,
+``import secrets`` or ``import hmac`` gets the real module; the stubs that
+make this so are skipped when they are not safe, and an ``ImportError``
+under them falls back to the plain import. Each case runs in a fresh
+interpreter, since a process loads numpy, numpy.random and OpenBLAS's
+thread count once."""
 
 import ast
+import functools
 import json
 import os
 import subprocess
@@ -90,9 +95,13 @@ def test_cli_loads_no_module_its_commands_do_not_run(tmp_path):
     # The Monte Carlo chunks run on plain threads and CSV output imports csv
     # when asked for: a thread pool would bring logging, queue and more. A
     # byte-order mark is stripped as a prefix, not by the utf-8-sig codec.
-    # numpy.random is imported without hmac, so no command hashes anything.
+    # Generator and PCG64 are imported without the numpy.random package's
+    # __init__ and with a stub secrets, so no command loads the legacy
+    # generators or hashes anything.
     unused = ["concurrent.futures", "logging", "queue", "csv", "encodings.utf_8_sig",
-              "hmac", "hashlib", "_hashlib"]
+              "hmac", "hashlib", "_hashlib", "secrets", "base64",
+              "numpy.random.mtrand", "numpy.random._pickle", "numpy.random._mt19937",
+              "numpy.random._philox", "numpy.random._sfc64"]
     bom = tmp_path / "bom.qc"
     bom.write_bytes(b"\xef\xbb\xbfqubits 2\nh 1\ncnot 1 0\nmeasure 0\nmeasure 1\n")
     after_import, after_block = run_fresh(
@@ -111,8 +120,10 @@ def test_cli_loads_no_module_its_commands_do_not_run(tmp_path):
 
 
 # A seeded command in a fresh interpreter after ``before`` has run: its exit
-# status and stdout, the file of the hmac it leaves in sys.modules (false for
-# none or a stub), and whether OpenSSL is loaded. ``after`` may add to them.
+# status and stdout, which of WATCHED it leaves loaded, and the names of the
+# stubs (modules without a file) it leaves in sys.modules. ``after`` may add
+# to them.
+WATCHED = ["numpy.random", "secrets", "numpy.random.mtrand", "_hashlib"]
 TRANSMIT = """
 import io, sys
 {before}
@@ -120,68 +131,105 @@ import qsignal.cli
 sys.stdout = io.StringIO()
 code = qsignal.cli.main(['transmit', '--message', '101', '--n', '4', '--seed', '3'])
 out, sys.stdout = sys.stdout.getvalue(), sys.__stdout__
-hmac = sys.modules.get('hmac')
-state = [code, out, hasattr(hmac, 'new') and hmac.__file__, '_hashlib' in sys.modules]
+state = [code, out, [m for m in {watched!r} if m in sys.modules],
+         [m for m in ('numpy.random', 'secrets')
+          if m in sys.modules and not hasattr(sys.modules[m], '__file__')]]
 {after}
 print(json.dumps(state))
 """
 
 
 def transmit_fresh(before: str = "", after: str = "") -> list:
-    return run_fresh(TRANSMIT.format(before=before, after=after))
+    return run_fresh(TRANSMIT.format(before=before, after=after, watched=WATCHED))
+
+
+@functools.cache
+def plain_stdout() -> list:
+    """Exit status and stdout of the command when numpy.random is imported
+    whole, as ``np.random.default_rng`` would import it."""
+    return transmit_fresh("import numpy.random")[:2]
+
+
+def test_a_later_import_gets_the_real_numpy_random():
+    code, out, loaded, stubs, checks = transmit_fresh(after=(
+        "import pickle, numpy as np\n"
+        "unbound = ['random' not in vars(np), 'numpy.random' not in sys.modules]\n"
+        "rng = qsignal.cli._default_rng(5)\n"
+        "import numpy.random\n"
+        "from numpy.random.bit_generator import SeedSequence\n"
+        "state.append([\n"
+        "    unbound,\n"
+        "    type(rng) is np.random.Generator,\n"
+        "    [np.random.default_rng(s).random(5).tolist()\n"
+        "     == qsignal.cli._default_rng(s).random(5).tolist() for s in (0, 1, 2**31 - 1, 2**70)],\n"
+        "    pickle.loads(pickle.dumps(rng)).random(3).tolist() == rng.random(3).tolist(),\n"
+        "    np.random.RandomState(0).rand(),\n"
+        "    SeedSequence().entropy > 0,\n"
+        "    'numpy.random.mtrand' in sys.modules])"))
+    assert [code, out] == plain_stdout()
+    assert loaded == [] and stubs == []  # the command itself loaded none of them
+    unbound, generator_type, same_streams, pickled, legacy_draw, entropy, legacy_after = checks
+    assert unbound == [True, True]
+    assert generator_type
+    assert same_streams == [True] * 4
+    assert pickled
+    assert legacy_draw == 0.5488135039273248  # RandomState(0).rand()
+    assert entropy
+    assert legacy_after
 
 
 def test_a_later_import_gets_the_real_hmac_and_secrets_still_work():
-    code, out, real_hmac, openssl, checks = transmit_fresh(after=(
+    code, out, loaded, stubs, checks = transmit_fresh(after=(
         "import hmac, secrets, numpy as np\n"
         "state.append([\n"
         "    hmac.new(b'key', b'The quick brown fox jumps over the lazy dog', 'sha256').hexdigest(),\n"
         "    hmac.compare_digest is sys.modules['_hashlib'].compare_digest,\n"
+        "    secrets.compare_digest is hmac.compare_digest,\n"
         "    len(secrets.token_bytes(8)),\n"
         "    [secrets.compare_digest(b'ab', b'ab'), secrets.compare_digest(b'ab', b'ac')],\n"
         "    np.random.SeedSequence().entropy > 0])"))
-    assert code == 0 and out
-    assert real_hmac is False and openssl is False  # the command itself loaded neither
-    digest, openssl_compare, token, compares, entropy = checks
+    assert [code, out] == plain_stdout()
+    assert loaded == [] and stubs == []  # the command itself loaded neither secrets nor OpenSSL
+    digest, openssl_compare, same_compare, token, compares, entropy = checks
     assert digest == "f7bc83f430538424b13298e6aa6fb143ef4d59a14946175997479dbc2d1a3cd8"
     assert openssl_compare
+    assert same_compare
     assert token == 8
     assert compares == [True, False]
     assert entropy
 
 
-@pytest.mark.parametrize("before, after, openssl", [
-    ("import numpy.random", "", True),
-    ("import hmac", "", True),
-    # an hmac loaded while OpenSSL is not, as on a build without _hashlib
-    ("sys.modules['_hashlib'] = None\nimport hmac\ndel sys.modules['_hashlib']", "", False),
+@pytest.mark.parametrize("before, after, left", [
+    ("import numpy.random", "", WATCHED),
+    ("import secrets", "", WATCHED),
     ("import threading\nidle = threading.Event()\n"
-     "threading.Thread(target=idle.wait, daemon=True).start()", "idle.set()", True),
-], ids=["numpy.random first", "hmac first", "hmac without OpenSSL first", "second thread"])
-def test_imports_are_left_alone_when_the_stub_is_not_safe(before, after, openssl):
-    code, out, real_hmac, loaded = transmit_fresh(before, after)
-    assert [code, out] == transmit_fresh()[:2]
-    assert real_hmac
-    assert loaded is openssl
+     "threading.Thread(target=idle.wait, daemon=True).start()", "idle.set()", WATCHED),
+    # a stub package would shadow the loaded one, and leave none behind
+    ("import numpy.random\ndel sys.modules['secrets']", "",
+     ["numpy.random", "numpy.random.mtrand", "_hashlib"]),
+], ids=["numpy.random first", "secrets first", "second thread", "numpy.random without secrets first"])
+def test_imports_are_left_alone_when_the_stub_is_not_safe(before, after, left):
+    code, out, loaded, stubs = transmit_fresh(before, after)
+    assert [code, out] == plain_stdout()
+    assert loaded == left and stubs == []
 
 
-def test_a_secrets_that_needs_more_of_hmac_is_imported_again_with_the_real_one():
-    # This secrets stops at the stub, which has no ``new``; the plain retry
-    # then loads it with the real hmac.
-    finder = """
-import importlib.abc, importlib.util
-class Secrets(importlib.abc.MetaPathFinder, importlib.abc.Loader):
-    runs = 0
+@pytest.mark.parametrize("module", ["numpy.random._generator", "numpy.random._pcg64"])
+def test_an_import_error_under_the_stubs_falls_back_to_the_real_package(module):
+    # The first import of ``module`` raises, as a missing or broken extension
+    # would; the plain import that follows finds it.
+    finder = f"""
+import importlib.abc
+class Refuse(importlib.abc.MetaPathFinder):
+    raised = 0
     def find_spec(self, name, path, target=None):
-        return importlib.util.spec_from_loader(name, self) if name == 'secrets' else None
-    def create_module(self, spec):
-        return None
-    def exec_module(self, module):
-        Secrets.runs += 1
-        exec('from hmac import new\\nfrom random import SystemRandom\\n'
-             'randbits = SystemRandom().getrandbits', vars(module))
-sys.meta_path.insert(0, Secrets())
+        if name == {module!r} and not Refuse.raised:
+            Refuse.raised += 1
+            raise ImportError(name)
+sys.meta_path.insert(0, Refuse())
 """
-    code, out, real_hmac, openssl = transmit_fresh(finder, "assert Secrets.runs == 2, Secrets.runs")
-    assert [code, out] == transmit_fresh()[:2]
-    assert real_hmac and openssl
+    code, out, loaded, stubs = transmit_fresh(finder, "assert Refuse.raised == 1")
+    assert [code, out] == plain_stdout()
+    assert stubs == []
+    # the whole package ran; a bit_generator loaded before the failure kept the stub's randbits
+    assert {"numpy.random", "numpy.random.mtrand"} <= set(loaded)
