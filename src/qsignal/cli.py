@@ -21,7 +21,6 @@ import re
 import sys
 import threading
 import types
-from collections import Counter
 from dataclasses import asdict
 from random import SystemRandom
 
@@ -35,7 +34,7 @@ from .channel import (
     monte_carlo_block_error,
     mutual_information,
 )
-from .dsl import ParseError, _compile, _sample, load
+from .dsl import ParseError, _compile, _histogram, load
 from .protocol import transmit_message
 
 FORMAT_ENV_VAR = "QSIGNAL_FORMAT"
@@ -155,11 +154,7 @@ _RUN_FIELDS = ["experiment", "file", "shots", "seed", "outcome", "count", "frequ
 
 
 def cmd_run(args) -> list[dict]:
-    histogram = Counter()
-    for bits in _sample(_compile(load(args.file)), args.shots, _default_rng(args.seed)):
-        outcomes, counts = np.unique(bits.T, axis=0, return_counts=True)
-        for row, count in zip(outcomes.tolist(), counts.tolist()):
-            histogram["".join("01"[b] for b in row)] += count
+    histogram = _histogram(_compile(load(args.file)), args.shots, _default_rng(args.seed))
     return [
         dict(zip(_RUN_FIELDS, ("run", args.file, args.shots, args.seed,
                                outcome, count, count / args.shots)))

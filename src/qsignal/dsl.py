@@ -21,6 +21,7 @@ from __future__ import annotations
 import codecs
 import operator
 import re
+from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 from typing import NamedTuple
@@ -78,7 +79,7 @@ _MAX_DIGITS = 640
 # `load` reads at most 64 KiB past this, so no file can fill memory.
 _MAX_FILE_BYTES = 1 << 24
 _MAX_SOURCES = 1 << 20  # sources `_compile` holds in all; k measures can name k(k+1)/2
-# `_sample` draws at most this many uniforms (2 MiB) per batch of shots.
+# `_coins` draws at most this many uniforms (2 MiB) per batch of shots.
 _BATCH_UNIFORMS = 1 << 18
 # A compiled ``measure``: ``(constant, sources)``, a fair coin k being ``(0, (k,))``.
 _Outcome = tuple[int, tuple[int, ...]]
@@ -257,24 +258,59 @@ def _draw(outcomes: tuple[_Outcome, ...], coins: np.ndarray) -> np.ndarray:
     return bits
 
 
-def _sample(outcomes: tuple[_Outcome, ...], shots: int, rng: np.random.Generator):
-    """Yield `_draw` bits of ``shots`` runs of a compiled circuit (`_compile`),
-    batch by batch, with the uniforms laid out as in
+def _coins(outcomes: tuple[_Outcome, ...], shots: int, rng: np.random.Generator):
+    """Yield the thresholded coins of ``shots`` runs of a compiled circuit
+    (`_compile`), batch by batch, as `_draw` reads them: one row per
+    measurement and one column per shot, with the uniforms laid out as in
     ``rng.random((shots, measurements)).T``.
 
-    A batch draws at most `_BATCH_UNIFORMS` uniforms and thresholds the rows
-    `_draw` reads, one 1-D compare each; draws are sequential, so the stream
-    does not depend on the batch size.
+    A batch draws at most `_BATCH_UNIFORMS` uniforms and thresholds only the
+    rows some entry's sources name, one 1-D compare each; the other rows are
+    never written. Draws are sequential, so the stream does not depend on the
+    batch size. `_sample` and `_histogram` both read this one loop.
     """
     shots = _check_count("shots", shots, MAX_TRIALS)
     batch = max(1, _BATCH_UNIFORMS // max(1, len(outcomes)))
     read = set().union(*(sources for _, sources in outcomes))
     for start in range(0, shots, batch):
         uniforms = rng.random((min(batch, shots - start), len(outcomes))).T
-        coins = np.empty(uniforms.shape, dtype=bool)  # rows no source names are never read
+        coins = np.empty(uniforms.shape, dtype=bool)
         for j in read:
             np.greater_equal(uniforms[j], 0.5, out=coins[j])
+        del uniforms  # freed before the next batch is drawn, not after
+        yield coins
+
+
+def _sample(outcomes: tuple[_Outcome, ...], shots: int, rng: np.random.Generator):
+    """Yield `_draw` bits of ``shots`` runs of a compiled circuit, batch by
+    batch, from the coins of `_coins`."""
+    for coins in _coins(outcomes, shots, rng):
         yield _draw(outcomes, coins)
+
+
+def _histogram(outcomes: tuple[_Outcome, ...], shots: int, rng: np.random.Generator) -> dict[str, int]:
+    """Count of each record of ``shots`` runs of a compiled circuit, keyed by
+    its bits in program order as a string of 0s and 1s; the draws are those
+    of `_sample`.
+
+    A record is a fixed function of its fair coins, and each coin is itself
+    one of the outcomes, so distinct coin patterns give distinct records.
+    Each batch's per-shot coin tuples are counted in one pass (a circuit
+    without coins counts its shots under the empty pattern), and each
+    pattern that occurs is mapped to its record once, through `_draw`.
+    """
+    coins = sorted(set().union(*(sources for _, sources in outcomes)))
+    patterns = Counter()
+    for batch in _coins(outcomes, shots, rng):
+        patterns.update(zip(*(batch[k].tolist() for k in coins)) if coins else {(): batch.shape[1]})
+    table = np.empty((len(outcomes), len(patterns)), dtype=bool)
+    table[coins] = np.array(list(patterns), dtype=bool).T
+    counts = list(patterns.values())
+    del patterns  # its tuples are freed before the record strings are made
+    chars = _draw(outcomes, table).view(np.uint8)
+    chars += ord("0")  # in place: a second table-sized array could stay in the heap
+    text, m = chars.T.tobytes().decode(), len(outcomes)
+    return {text[i * m:(i + 1) * m]: count for i, count in enumerate(counts)}
 
 
 def execute(circuit: Circuit, shots: int, rng: np.random.Generator) -> list[RunRecord]:

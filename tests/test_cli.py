@@ -17,6 +17,7 @@ from qsignal.cli import main
 
 BELL_TEXT = "qubits 2\nh 1\ncnot 1 0\nmeasure 0\nmeasure 1\n"
 BELL = str(Path(__file__).resolve().parent.parent / "circuits" / "bell.qc")
+MIXED12 = str(Path(__file__).resolve().parent / "golden" / "mixed12.qc")
 
 
 def run_cli(capsys, *argv):
@@ -227,6 +228,39 @@ def test_run_without_measurements_evolves_no_state(capsys, tmp_path):
         tracemalloc.stop()
     assert code == 0 and err == ""
     assert json.loads(out) == []
+    assert peak < 4 << 20
+
+
+def test_run_sorts_no_records(capsys, monkeypatch):
+    # records are counted as coin patterns, so no row sort runs
+    def refused(*args, **kwargs):
+        raise AssertionError("numpy.unique called")
+    monkeypatch.setattr(np, "unique", refused)
+    for path in (BELL, MIXED12):
+        code, out, err = run_cli(capsys, "run", path, "--shots", "60000", "--seed", "2")
+        assert code == 0 and err == ""
+        assert sum(row["count"] for row in json.loads(out)) == 60000
+
+
+@pytest.mark.parametrize("text, shots", [
+    # 64 determined bits and no coin: every shot counts under the empty pattern
+    ("qubits 2\nx 0\n" + "measure 0\nmeasure 1\n" * 32, 100_000),
+    # one coin: a list or a record per shot, or per shot of one 131072-shot
+    # batch, would exceed the budget
+    (BELL_TEXT, 1_000_000),
+], ids=["no-coins", "bell"])
+def test_run_holds_no_per_shot_records(capsys, tmp_path, text, shots):
+    # a batch's 2 MiB of uniforms is freed before the next is drawn
+    path = tmp_path / "circuit.qc"
+    path.write_text(text, encoding="utf-8")
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "run", str(path), "--shots", str(shots), "--seed", "1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and err == ""
+    assert sum(row["count"] for row in json.loads(out)) == shots
     assert peak < 4 << 20
 
 

@@ -527,6 +527,46 @@ def test_run_histogram_counts_the_execute_records(tmp_path_factory, circuit, see
     assert {row["outcome"]: row["count"] for row in rows} == expected
 
 
+def unique_histogram(outcomes, shots, rng):
+    """Reference count of whole records: the rows of each `_sample` batch sorted
+    with ``np.unique`` and summed, as `run` once counted them."""
+    histogram = Counter()
+    for bits in dsl._sample(outcomes, shots, rng):
+        records, counts = np.unique(bits.T, axis=0, return_counts=True)
+        histogram.update({"".join("01"[b] for b in record): count
+                          for record, count in zip(records.tolist(), counts.tolist())})
+    return histogram
+
+
+@given(circuits(), st.integers(0, 2**32 - 1), st.integers(1, 200))
+@settings(max_examples=100, deadline=None)
+def test_histogram_counts_the_records_of_sample(circuit, seed, shots):
+    # differential: coin patterns counted and mapped to records once, against
+    # every record sorted, over batches of at most 8 uniforms
+    outcomes = dsl._compile(circuit)
+    with mock.patch.object(dsl, "_BATCH_UNIFORMS", 8):
+        histogram = dsl._histogram(outcomes, shots, np.random.default_rng(seed))
+        expected = unique_histogram(outcomes, shots, np.random.default_rng(seed))
+    assert histogram == expected
+    assert sum(histogram.values()) == shots
+
+
+@pytest.mark.parametrize("text, coins", [
+    ("qubits 1\n" + "h 0\nmeasure 0\n" * 70, 70),  # wider than a machine word
+    ("qubits 2\nx 0\nmeasure 0\nmeasure 1\n", 0),  # every bit determined
+    ("qubits 2\nh 0\ncnot 0 1\n", 0),  # no measurements: one empty record
+], ids=["70-coins", "no-coins", "no-measurements"])
+def test_histogram_counts_edge_circuits_across_batches(text, coins):
+    outcomes = dsl._compile(parse(text))
+    assert sum(outcome == (0, (k,)) for k, outcome in enumerate(outcomes)) == coins
+    with mock.patch.object(dsl, "_BATCH_UNIFORMS", 256):
+        histogram = dsl._histogram(outcomes, 1000, np.random.default_rng(6))
+        expected = unique_histogram(outcomes, 1000, np.random.default_rng(6))
+    assert histogram == expected
+    assert sum(histogram.values()) == 1000
+    assert len(histogram) == (1000 if coins else 1)
+
+
 def test_execute_x_gate_prepares_deterministic_outcome():
     circuit = parse("qubits 2\nx 1\nmeasure 0\nmeasure 1")
     records = execute(circuit, 10, np.random.default_rng(7))

@@ -55,6 +55,10 @@ def _cli_cases() -> dict[str, list[str]]:
             for path in CIRCUITS:
                 add(f"run-{Path(path).stem}-seed{seed}", "run", path, "--shots", "2000",
                     "--seed", str(seed))
+            # 60000 shots of 15 measurements are 4 batches: the histogram is merged
+            # across `run`'s batch boundaries
+            add(f"run-mixed12-seed{seed}", "run", WIDE_CIRCUIT, "--shots", "60000",
+                "--seed", str(seed))
             add(f"transmit-seed{seed}", "transmit", "--message", "1011001110", "--n", "10",
                 "--seed", str(seed))
     return cases
