@@ -7,14 +7,14 @@ output format comes from the QSIGNAL_FORMAT environment variable when
 set; the --format flag always wins.
 
 Each ``cmd_*`` handler returns its payload: one record as a dict, or for
-``run`` a list of records. `_render` derives the rest: JSON dumps the
-payload as it is, and CSV takes its header from the first record's keys.
+``run`` a list of records. `_write` writes it to stdout as it is encoded:
+JSON in the pieces of the stdlib encoder, and CSV with its header taken from
+the first record's keys.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import re
@@ -22,6 +22,7 @@ import sys
 import threading
 import types
 from dataclasses import asdict
+from itertools import islice
 from random import SystemRandom
 
 import numpy as np
@@ -228,17 +229,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _render(payload: dict | list[dict], fmt: str) -> str:
+def _write(payload: dict | list[dict], fmt: str) -> None:
+    """Write the payload to stdout as it is encoded, then flush once. JSON's
+    pieces are joined 4096 to a write: a write per piece is 2-3x slower."""
+    if (out := sys.stdout) is None:  # fd 1 was closed at start-up: as print, write nothing
+        return
     if fmt == "json":
-        return json.dumps(payload, indent=2)
-    import csv  # only CSV output needs it, so no command's start-up loads it
-    rows = payload if isinstance(payload, list) else [payload]
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0]) if rows else _RUN_FIELDS,
-                            lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    return buf.getvalue().rstrip("\n")
+        pieces = json.JSONEncoder(indent=2).iterencode(payload)
+        out.writelines(iter(lambda: "".join(islice(pieces, 1 << 12)), ""))
+        out.write("\n")
+    else:
+        import csv  # only CSV output needs it, so no command's start-up loads it
+        rows = payload if isinstance(payload, list) else [payload]
+        writer = csv.DictWriter(out, list(rows[0]) if rows else _RUN_FIELDS, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    out.flush()
 
 
 def main(argv=None) -> int:
@@ -252,7 +258,7 @@ def main(argv=None) -> int:
         )
         return 1
     try:
-        print(_render(args.handler(args), fmt), flush=True)
+        _write(args.handler(args), fmt)
     except BrokenPipeError:
         # The reader stopped reading, which is its choice, not an error. The
         # flush at exit would raise again, so stdout is pointed at devnull.

@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -311,17 +312,51 @@ def test_run_refuses_a_map_over_the_source_cap_in_one_line(capsys, tmp_path, mon
     assert err == "error: a compiled circuit holds at most 2 outcome sources\n"
 
 
-def test_a_closed_reader_ends_the_command_quietly(tmp_path):
+def test_run_refuses_more_records_than_the_cap_before_any_draw(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(dsl, "_MAX_RECORDS", 2)  # bell.qc makes 2 records of its one coin
+    assert run_cli(capsys, "run", BELL, "--seed", "1")[0] == 0
+    path = tmp_path / "two_coins.qc"
+    path.write_text("qubits 2\nh 0\nh 1\nmeasure 0\nmeasure 1\n", encoding="utf-8")
+    assert run_cli(capsys, "run", str(path), "--shots", "2", "--seed", "1")[0] == 0
+
+    def drawn(*args):
+        raise AssertionError("coins drawn")
+    monkeypatch.setattr(dsl, "_coins", drawn)
+    code, out, err = run_cli(capsys, "run", str(path), "--shots", "3", "--seed", "1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: a run holds at most 2 distinct records; 3 shots of 2 coins could make 3\n"
+
+
+SIXTEEN_COINS = "qubits 1\n" + "h 0\nmeasure 0\n" * 16
+
+
+def child_env() -> dict:
+    """The environment of a child interpreter that imports the qsignal under test."""
+    src = str(Path(qsignal.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+@pytest.mark.parametrize("text, fmt, read", [
+    (BELL_TEXT, "csv", 0),
+    # about 13 MB over many buffer flushes: the pipe breaks mid-stream, after 64 KiB are read
+    (SIXTEEN_COINS, "json", 1 << 16),
+], ids=["bell-csv-unread", "16-coins-json-mid-stream"])
+def test_a_closed_reader_ends_the_command_quietly(tmp_path, text, fmt, read):
     # The child reads its stdin to the end before it runs the command, so the
-    # parent's read end of the child's stdout is closed before a byte is written.
+    # parent's read end of the child's stdout is closed before a byte is
+    # written, unless the parent first reads ``read`` bytes of the output.
     code = ("import sys\nsys.stdin.read()\nfrom qsignal.cli import main\n"
             "sys.exit(main(['run', sys.argv[1], '--shots', '200000', '--seed', '0',"
-            " '--format', 'csv']))")
-    src = str(Path(qsignal.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            " '--format', sys.argv[2]]))")
+    path = tmp_path / "circuit.qc"
+    path.write_text(text, encoding="utf-8")
     with open(tmp_path / "stderr", "w+") as err:
-        child = subprocess.Popen([sys.executable, "-c", code, BELL], env=env, stdin=subprocess.PIPE,
-                                 stdout=subprocess.PIPE, stderr=err)
+        child = subprocess.Popen([sys.executable, "-c", code, str(path), fmt], env=child_env(),
+                                 stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=err)
+        if read:
+            child.stdin.close()
+            assert len(child.stdout.read(read)) == read
         child.stdout.close()
         child.stdin.close()
         assert child.wait(timeout=60) == 0
@@ -329,9 +364,35 @@ def test_a_closed_reader_ends_the_command_quietly(tmp_path):
         assert err.read() == ""
 
 
-@pytest.mark.parametrize("where", ["monte_carlo_block_error", "_render"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_closed_stdout_ends_the_command_quietly(fmt):
+    # with fd 1 closed at start-up, sys.stdout is None: nothing is written, as print would
+    command = [sys.executable, "-m", "qsignal.cli", "exact", "--bit", "1", "--format", fmt]
+    child = subprocess.run(["sh", "-c", '"$@" >&-', "sh", *command], env=child_env(),
+                           capture_output=True, timeout=60)
+    assert (child.returncode, child.stderr) == (0, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+@pytest.mark.parametrize("argv", [
+    ["exact", "--bit", "1"],
+    # fails in the middle of a multi-write JSON stream
+    ["run", "{path}", "--shots", "200000", "--seed", "0"],
+], ids=["exact", "16-coins-json"])
+def test_a_failing_stdout_write_exits_1_with_one_line(tmp_path, argv):
+    path = tmp_path / "circuit.qc"
+    path.write_text(SIXTEEN_COINS, encoding="utf-8")
+    command = [sys.executable, "-m", "qsignal.cli", *(a.format(path=path) for a in argv)]
+    with open("/dev/full", "w") as full:
+        child = subprocess.run(command, env=child_env(), stdout=full, stderr=subprocess.PIPE,
+                               timeout=60)
+    assert child.returncode == 1
+    assert child.stderr == b"error: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.parametrize("where", ["monte_carlo_block_error", "_write"])
 def test_ctrl_c_exits_130_with_nothing_written(capsys, monkeypatch, where):
-    # the handler's work or the render, each interrupted as SIGINT would
+    # the handler's work or the write, each interrupted as SIGINT would
     def interrupted(*args):
         raise KeyboardInterrupt
     monkeypatch.setattr(cli, where, interrupted)
@@ -341,6 +402,44 @@ def test_ctrl_c_exits_130_with_nothing_written(capsys, monkeypatch, where):
         pytest.fail("KeyboardInterrupt escaped main")
     assert code == 130
     assert capsys.readouterr() == ("", "")
+
+
+class InterruptedAfter(io.StringIO):
+    """A stdout whose second write raises KeyboardInterrupt, as SIGINT would."""
+
+    def write(self, text):
+        if self.tell():
+            raise KeyboardInterrupt
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_ctrl_c_mid_write_exits_130_leaving_a_prefix(tmp_path, monkeypatch, capsys, fmt):
+    path = tmp_path / "circuit.qc"
+    path.write_text(SIXTEEN_COINS, encoding="utf-8")
+    _, whole, _ = run_cli(capsys, "run", str(path), "--shots", "2000", "--seed", "0", "--format", fmt)
+    monkeypatch.setattr(sys, "stdout", InterruptedAfter())
+    code = main(["run", str(path), "--shots", "2000", "--seed", "0", "--format", fmt])
+    assert code == 130
+    assert capsys.readouterr().err == ""
+    assert whole.startswith(sys.stdout.getvalue()) and 0 < sys.stdout.tell() < len(whole)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_writing_a_run_holds_no_whole_output(monkeypatch, fmt):
+    # 10^5 distinct records make about 20 MB of JSON; the write holds one
+    # group of pieces, or one CSV row, at a time
+    payload = [dict(zip(cli._RUN_FIELDS, ("run", "wide.qc", 10**5, 0, f"{i:040b}", 1, 1e-5)))
+               for i in range(10**5)]
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            cli._write(payload, fmt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 2 << 20
 
 
 def test_run_is_byte_identical_per_seed(capsys, tmp_path):
