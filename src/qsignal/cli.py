@@ -234,17 +234,22 @@ def _write(payload: dict | list[dict], fmt: str) -> None:
     pieces are joined 4096 to a write: a write per piece is 2-3x slower."""
     if (out := sys.stdout) is None:  # fd 1 was closed at start-up: as print, write nothing
         return
-    if fmt == "json":
-        pieces = json.JSONEncoder(indent=2).iterencode(payload)
-        out.writelines(iter(lambda: "".join(islice(pieces, 1 << 12)), ""))
-        out.write("\n")
-    else:
-        import csv  # only CSV output needs it, so no command's start-up loads it
-        rows = payload if isinstance(payload, list) else [payload]
-        writer = csv.DictWriter(out, list(rows[0]) if rows else _RUN_FIELDS, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-    out.flush()
+    try:
+        if fmt == "json":
+            pieces = json.JSONEncoder(indent=2).iterencode(payload)
+            out.writelines(iter(lambda: "".join(islice(pieces, 1 << 12)), ""))
+            out.write("\n")
+        else:
+            import csv  # only CSV output needs it, so no command's start-up loads it
+            rows = payload if isinstance(payload, list) else [payload]
+            writer = csv.DictWriter(out, list(rows[0]) if rows else _RUN_FIELDS, lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+        out.flush()
+    except OSError as exc:  # what stays in stdout's buffer would fail again in the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        if not isinstance(exc, BrokenPipeError):  # a closed reader chose to stop: not an error
+            raise
 
 
 def main(argv=None) -> int:
@@ -259,10 +264,6 @@ def main(argv=None) -> int:
         return 1
     try:
         _write(args.handler(args), fmt)
-    except BrokenPipeError:
-        # The reader stopped reading, which is its choice, not an error. The
-        # flush at exit would raise again, so stdout is pointed at devnull.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
