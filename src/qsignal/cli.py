@@ -178,53 +178,47 @@ def cmd_transmit(args) -> dict:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--format",
-        choices=_FORMATS,
-        default=None,
-        help=f"output format (default: ${FORMAT_ENV_VAR} or json)",
-    )
-
     parser = argparse.ArgumentParser(
         prog="qsignal",
         description="Entangled-pair signalling protocol: simulation and channel analysis.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("exact", parents=[common], help="exact receiver distribution for one sent bit")
-    p.add_argument("--bit", type=int, choices=(0, 1), required=True)
-    p.set_defaults(handler=cmd_exact)
+    def command(name, handler, summary) -> argparse.ArgumentParser:
+        """A subcommand that takes --format and runs ``handler``; the caller adds its own arguments."""
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--format", choices=_FORMATS, default=None,
+                       help=f"output format (default: ${FORMAT_ENV_VAR} or json)")
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("ancilla", parents=[common], help="receiver distribution under the unitary ancilla model")
+    p = command("exact", cmd_exact, "exact receiver distribution for one sent bit")
     p.add_argument("--bit", type=int, choices=(0, 1), required=True)
-    p.set_defaults(handler=cmd_ancilla)
 
-    p = sub.add_parser("block", parents=[common], help="Monte Carlo OR-decoded block statistics")
+    p = command("ancilla", cmd_ancilla, "receiver distribution under the unitary ancilla model")
+    p.add_argument("--bit", type=int, choices=(0, 1), required=True)
+
+    p = command("block", cmd_block, "Monte Carlo OR-decoded block statistics")
     p.add_argument("--n", type=count, required=True, help="pairs per block")
     p.add_argument("--bit", type=int, choices=(0, 1), required=True)
     p.add_argument("--trials", type=count, default=100_000)
     p.add_argument("--seed", type=seed, required=True)
     p.add_argument("--workers", type=count, default=1)
-    p.set_defaults(handler=cmd_block)
 
-    p = sub.add_parser("channel", parents=[common], help="information measures of the induced block channel")
+    p = command("channel", cmd_channel, "information measures of the induced block channel")
     p.add_argument("--n", type=count, required=True, help="pairs per block")
     p.add_argument("--prior", type=probability, default=None,
                    help="input prior P(send 1); omit to report capacity")
-    p.set_defaults(handler=cmd_channel)
 
-    p = sub.add_parser("run", parents=[common], help="interpret a .qc circuit file")
+    p = command("run", cmd_run, "interpret a .qc circuit file")
     p.add_argument("file")
     p.add_argument("--shots", type=count, default=10_000)
     p.add_argument("--seed", type=seed, required=True)
-    p.set_defaults(handler=cmd_run)
 
-    p = sub.add_parser("transmit", parents=[common], help="send a bit string through OR-decoded blocks")
+    p = command("transmit", cmd_transmit, "send a bit string through OR-decoded blocks")
     p.add_argument("--message", type=_bit_string, required=True)
     p.add_argument("--n", type=count, default=10, help="pairs per block")
     p.add_argument("--seed", type=seed, required=True)
-    p.set_defaults(handler=cmd_transmit)
 
     return parser
 

@@ -79,8 +79,10 @@ _MAX_DIGITS = 640
 # `load` reads at most 64 KiB past this, so no file can fill memory.
 _MAX_FILE_BYTES = 1 << 24
 _MAX_SOURCES = 1 << 20  # sources `_compile` holds in all; k measures can name k(k+1)/2
-# Distinct records `_histogram` may hold; the README gives a run's peak RSS at the cap.
+# Distinct records `_histogram` may hold, and their bits in all (a coin also costs
+# about 9 bytes a record while patterns are counted); the README gives peaks at both.
 _MAX_RECORDS = 1 << 20
+_MAX_RECORD_BITS = 40 << 20
 # `_coins` draws at most this many uniforms (2 MiB) per batch of shots.
 _BATCH_UNIFORMS = 1 << 18
 # A compiled ``measure``: ``(constant, sources)``, a fair coin k being ``(0, (k,))``.
@@ -301,13 +303,17 @@ def _histogram(outcomes: tuple[_Outcome, ...], shots: int, rng: np.random.Genera
     without coins counts its shots under the empty pattern), and each
     pattern that occurs is mapped to its record once, through `_draw`.
     Records are at most min(shots, 2^coins); above `_MAX_RECORDS` that
-    bound raises ValueError before any draw.
+    bound raises ValueError before any draw, as does its product with the
+    record width above `_MAX_RECORD_BITS`.
     """
     coins = sorted(set().union(*(sources for _, sources in outcomes)))
     shots = _check_count("shots", shots, MAX_TRIALS)
     if (bound := min(shots, 2 ** len(coins))) > _MAX_RECORDS:
         raise ValueError(f"a run holds at most {_MAX_RECORDS} distinct records;"
                          f" {shots} shots of {len(coins)} coins could make {bound}")
+    if (bits := bound * len(outcomes)) > _MAX_RECORD_BITS:
+        raise ValueError(f"a run's records hold at most {_MAX_RECORD_BITS} bits;"
+                         f" {bound} records of {len(outcomes)} bits could hold {bits}")
     patterns = Counter()
     for batch in _coins(outcomes, shots, rng):
         patterns.update(zip(*(batch[k].tolist() for k in coins)) if coins else {(): batch.shape[1]})

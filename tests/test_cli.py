@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import math
@@ -328,6 +329,22 @@ def test_run_refuses_more_records_than_the_cap_before_any_draw(capsys, tmp_path,
     assert err == "error: a run holds at most 2 distinct records; 3 shots of 2 coins could make 3\n"
 
 
+def test_run_refuses_records_wider_than_the_bit_cap_before_any_draw(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr(dsl, "_MAX_RECORD_BITS", 4)  # bell.qc makes 2 records of 2 bits
+    assert run_cli(capsys, "run", BELL, "--seed", "1")[0] == 0
+    path = tmp_path / "wide.qc"  # one coin, read three times
+    path.write_text("qubits 1\nh 0\nmeasure 0\nmeasure 0\nmeasure 0\n", encoding="utf-8")
+    assert run_cli(capsys, "run", str(path), "--shots", "1", "--seed", "1")[0] == 0
+
+    def drawn(*args):
+        raise AssertionError("coins drawn")
+    monkeypatch.setattr(dsl, "_coins", drawn)
+    code, out, err = run_cli(capsys, "run", str(path), "--shots", "2", "--seed", "1")
+    assert code == 1
+    assert out == ""
+    assert err == "error: a run's records hold at most 4 bits; 2 records of 3 bits could hold 6\n"
+
+
 SIXTEEN_COINS = "qubits 1\n" + "h 0\nmeasure 0\n" * 16
 
 
@@ -505,6 +522,30 @@ def test_transmit_rejects_non_binary_message(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["transmit", "--message", "0120", "--seed", "1"])
     assert excinfo.value.code != 0
+
+
+# Each command with its required arguments, and its handler.
+COMMANDS = {
+    "exact": (["--bit", "1"], cli.cmd_exact),
+    "ancilla": (["--bit", "1"], cli.cmd_ancilla),
+    "block": (["--n", "1", "--bit", "1", "--seed", "0"], cli.cmd_block),
+    "channel": (["--n", "1"], cli.cmd_channel),
+    "run": ([BELL, "--seed", "0"], cli.cmd_run),
+    "transmit": (["--message", "1", "--seed", "0"], cli.cmd_transmit),
+}
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_every_command_takes_format_first_and_names_its_handler(name):
+    parser = cli._build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(subparsers.choices) == list(COMMANDS)
+    options = [action.option_strings for action in subparsers.choices[name]._actions]
+    assert options[:2] == [["-h", "--help"], ["--format"]]
+    required, handler = COMMANDS[name]
+    args = parser.parse_args([name, *required, "--format", "csv"])
+    assert args.format == "csv"
+    assert args.handler is handler
 
 
 def test_csv_format_for_single_record(capsys):
