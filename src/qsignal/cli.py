@@ -241,7 +241,8 @@ def _write(payload: dict | list[dict], fmt: str) -> None:
             writer.writerows(rows)
         out.flush()
     except OSError as exc:  # what stays in stdout's buffer would fail again in the flush at exit
-        os.dup2(os.open(os.devnull, os.O_WRONLY), out.fileno())
+        os.dup2(devnull := os.open(os.devnull, os.O_WRONLY), out.fileno())
+        os.close(devnull)
         if not isinstance(exc, BrokenPipeError):  # a closed reader chose to stop: not an error
             raise
 

@@ -166,18 +166,6 @@ def load(path) -> Circuit:
     return parse(text)
 
 
-def _product_sign(x1: int, z1: int, x2: int, z2: int) -> int:
-    """1 if the product of two commuting Pauli rows picks up a -1, else 0.
-
-    Rows are bitmasks over qubits (X part, Z part). Each qubit adds the
-    exponent of i that its pair of factors yields (Aaronson & Gottesman's
-    g); for commuting rows the sum is 0 or 2 mod 4.
-    """
-    plus = (x1 & z1 & z2 & ~x2) | (x1 & ~z1 & x2 & z2) | (~x1 & z1 & x2 & ~z2)
-    minus = (x1 & z1 & x2 & ~z2) | (x1 & ~z1 & z2 & ~x2) | (~x1 & z1 & x2 & z2)
-    return (plus.bit_count() - minus.bit_count()) >> 1 & 1
-
-
 def _compile(circuit: Circuit) -> tuple[_Outcome, ...]:
     """Each ``measure`` of ``circuit`` as an affine function of earlier outcomes.
 
@@ -185,13 +173,16 @@ def _compile(circuit: Circuit) -> tuple[_Outcome, ...]:
     is random, and how a determined one depends on earlier ones, is fixed
     by the circuit. One pass of a stabilizer tableau (Aaronson & Gottesman,
     PRA 70, 052328, 2004) finds it. Rows 0..n-1 are destabilizers and
-    n..2n-1 stabilizers, each an X and a Z bitmask over qubits, and a
-    row's sign is symbolic: bit 0 a constant, bit k + 1 the outcome of the
-    k-th measurement. Entry k is ``(constant, sources)``: the k-th outcome
-    is ``constant`` XOR the outcomes of the random measurements in
-    ``sources``. A fair coin k is its own one source, ``(0, (k,))``; a
-    determined outcome's sources are all earlier coins. Sources are counted as
-    entries are made, and the first measurement past `_MAX_SOURCES` raises ValueError.
+    n..2n-1 stabilizers. A row of bitmasks x, z over qubits and a sign s
+    stands for (-1)^s i^(|x & z| mod 2) X^x Z^z: CNOT flips no sign, and a
+    product of commuting rows picks up (-1)^|z1 & x2| and no i·i term, since H,
+    X and CNOT are real and so every row holds an even number of Y's. Signs are
+    symbolic: bit 0 a constant, bit k + 1 the outcome of the k-th measurement.
+    Entry k is ``(constant, sources)``: the k-th outcome is ``constant`` XOR the
+    outcomes of the random measurements in ``sources``. A fair coin k is its own
+    one source, ``(0, (k,))``; a determined outcome's sources are all earlier
+    coins. Sources are counted as entries are made, and the first measurement
+    past `_MAX_SOURCES` raises ValueError.
     """
     n = circuit.num_qubits
     xs = [1 << q for q in range(n)] + [0] * n
@@ -211,23 +202,21 @@ def _compile(circuit: Circuit) -> tuple[_Outcome, ...]:
                     signs[i] ^= bool(z & a)
                 else:  # cnot: a Circuit holds no other gate
                     c, t = ins.args
-                    xc, zt = x >> c & 1, z >> t & 1
-                    signs[i] ^= xc & zt & (1 ^ (x >> t & 1) ^ (z >> c & 1))
-                    xs[i], zs[i] = x ^ xc << t, z ^ zt << c
+                    xs[i], zs[i] = x ^ (x >> c & 1) << t, z ^ (z >> t & 1) << c
             continue
         p = next((i for i in range(n, 2 * n) if xs[i] & a), None)
         if p is None:
             # determined: Z_a is the product of the stabilizers paired with
             # the destabilizers that anticommute with it
-            x = z = sign = 0
+            x = sign = 0  # the product's X part; its Z part is never read
             for i in range(n):
                 if xs[i] & a:
-                    sign ^= signs[n + i] ^ _product_sign(xs[n + i], zs[n + i], x, z)
-                    x, z = x ^ xs[n + i], z ^ zs[n + i]
+                    sign ^= signs[n + i] ^ (zs[n + i] & x).bit_count() & 1
+                    x ^= xs[n + i]
         else:  # random: the new stabilizer's sign is this outcome's own coin
             for i in range(2 * n):
                 if i != p and xs[i] & a:
-                    signs[i] ^= signs[p] ^ _product_sign(xs[p], zs[p], xs[i], zs[i])
+                    signs[i] ^= signs[p] ^ (zs[p] & xs[i]).bit_count() & 1
                     xs[i], zs[i] = xs[i] ^ xs[p], zs[i] ^ zs[p]
             xs[p - n], zs[p - n] = xs[p], zs[p]
             sign = 1 << len(outcomes) + 1

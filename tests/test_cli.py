@@ -425,6 +425,21 @@ def test_a_failing_stdout_write_exits_1_with_one_line(tmp_path, argv, sink):
     assert child.stderr == f"error: [Errno {errno}] {os.strerror(errno)}\n".encode()
 
 
+def test_a_failing_stdout_write_leaves_no_descriptor_open(capsys, monkeypatch):
+    # the failed stdout is pointed at /dev/null; the descriptor opened for
+    # that must be closed again, or each in-process call leaks one
+    if not (os.path.isdir("/proc/self/fd") and os.path.exists("/dev/full")):
+        pytest.skip("needs /proc/self/fd and the /dev/full device")
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(5):
+        with open("/dev/full", "w") as full:
+            monkeypatch.setattr(sys, "stdout", full)
+            assert main(["exact", "--bit", "1"]) == 1
+        monkeypatch.undo()
+        assert capsys.readouterr().err == f"error: [Errno 28] {os.strerror(28)}\n"
+    assert len(os.listdir("/proc/self/fd")) == before
+
+
 @pytest.mark.parametrize("where", ["monte_carlo_block_error", "_write"])
 def test_ctrl_c_exits_130_with_nothing_written(capsys, monkeypatch, where):
     # the handler's work or the write, each interrupted as SIGINT would

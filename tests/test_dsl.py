@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsignal import (
@@ -389,7 +389,9 @@ def test_executor_gates_are_clifford():
     # the compiled executor takes every outcome to be a fair coin or
     # determined: both are exact only while every gate is Clifford. The
     # parser, the statevector kernels, the oracle's gates and _compile
-    # share one gate set.
+    # share one gate set. _compile's signs also take every gate to be real
+    # (every row then holds an even number of Y's), so a gate like `s`
+    # must bring back the i·i term of a row product.
     gates = {"h": 1, "x": 1, "cnot": 2}
     assert {op: n for op, n in dsl._ARITY.items() if op not in ("qubits", "measure")} == gates
     for kernels in (_KERNELS, dense.GATES):
@@ -405,6 +407,9 @@ def test_executor_gates_are_clifford():
 
 
 @given(circuits(max_ops=30), st.integers(0, 2**32 - 1), st.integers(1, 40))
+# the second measure is NOT the first, ((0, (0,)), (1, (0,))): that sign comes only
+# from the (-1)^|z1 & x2| term of a row product, which random circuits seldom reach
+@example(parse("qubits 2\nh 0\ncnot 0 1\nh 0\ncnot 0 1\nmeasure 1\nh 0\nmeasure 0\n"), 0, 40)
 @settings(max_examples=300, deadline=None)
 def test_compiled_executor_matches_the_dense_oracle(circuit, seed, shots):
     # differential: the compiled map against the dense amplitudes, byte for
