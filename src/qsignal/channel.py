@@ -28,7 +28,7 @@ from threading import Thread
 
 import numpy as np
 
-from .dsl import Circuit, Instruction, _check_count, _Outcome, _compile, _draw
+from .dsl import Circuit, Instruction, _check_count, _Outcome, _compile, _draw, _pcg64
 from .protocol import (  # noqa: F401
     _COMPILED_CIRCUITS, MAX_TRIALS, AliceAction, _action, _check_pairs, _protocol_circuit)
 
@@ -229,25 +229,25 @@ def channel_capacity(channel: ZChannel) -> tuple[float, float]:
 # --- vectorized Monte Carlo engine ------------------------------------------
 
 
-def _skip(stream: np.random.Generator, count: int) -> None:
+def _skip(stream: np.random.Generator | np.random.PCG64 | np.random.PCG64DXSM,
+          count: int) -> None:
     """Move ``stream`` past ``count`` uniforms as if it had drawn them.
 
-    PCG64 and PCG64DXSM make one double from one 64-bit output, so
-    `advance` jumps exactly ``count`` draws in O(log count) steps. Other
-    generators draw and discard: Philox advances in blocks of four
-    outputs, and MT19937 makes one double from two 32-bit words. Both
-    classes come from their own module: ``np.random.PCG64`` would import
-    the whole package, which `cli._default_rng` leaves unloaded.
+    A PCG64 or PCG64DXSM (`dsl._pcg64`), bare or a Generator's, makes one
+    uniform from one 64-bit output, so its own `advance` jumps exactly
+    ``count`` draws in O(log count) steps. Other generators draw and
+    discard: Philox advances in blocks of four outputs, and MT19937 makes
+    one double from two 32-bit words.
     """
-    from numpy.random._pcg64 import PCG64, PCG64DXSM
-    if type(stream.bit_generator) in (PCG64, PCG64DXSM):
-        stream.bit_generator.advance(count)
+    bits = getattr(stream, "bit_generator", stream)  # a bare bit generator is its own
+    if _pcg64(bits):
+        bits.advance(count)
     else:
         stream.random(count)
 
 
 def _decoded_ones(outcomes: tuple[_Outcome, ...], n_pairs: int, size: int,
-                  stream: np.random.Generator) -> int:
+                  stream: np.random.Generator | np.random.PCG64 | np.random.PCG64DXSM) -> int:
     """How many of ``size`` blocks of ``n_pairs`` pairs decode 1.
 
     ``outcomes`` is a compiled protocol circuit (`_COMPILED_CIRCUITS`);
@@ -257,21 +257,27 @@ def _decoded_ones(outcomes: tuple[_Outcome, ...], n_pairs: int, size: int,
     measurements, but only the receiver's source rows are drawn, in
     consecutive slices of at most `_SLICE` thresholded once into coin rows,
     and `_draw` evaluates its entry from them. `_skip` passes the other rows,
-    so every row keeps its position.
+    so every row keeps its position. A Generator's slices are drawn into one
+    reused buffer; a bare PCG64 or PCG64DXSM's coins are the top bits of
+    ``stream.random_raw``, the same coins at the same positions (`dsl._pcg64`).
     """
     m = len(outcomes)
     receiver = outcomes[-1:]
     _, sources = receiver[0]
     coins = np.empty((m, size), dtype=bool)  # rows no source names are never written, so never paged in
-    u = np.empty(min(size, _SLICE))
+    raw = _pcg64(stream)
+    u = None if raw else np.empty(min(size, _SLICE))
     any_one = np.zeros(size, dtype=bool)
     drawn = 0
     for p in range(n_pairs):
         for k in sources:
             _skip(stream, (p * m + k - drawn) * size)
             for start in range(0, size, _SLICE):
-                part = u[:min(_SLICE, size - start)]
-                np.greater_equal(stream.random(out=part), 0.5, out=coins[k, start:start + len(part)])
+                out = coins[k, start:start + _SLICE]
+                if raw:
+                    np.less(stream.random_raw(len(out)).view(np.int64), 0, out=out)
+                else:
+                    np.greater_equal(stream.random(out=u[:len(out)]), 0.5, out=out)
             drawn = p * m + k + 1
         any_one |= _draw(receiver, coins)[0]
     return int(np.count_nonzero(any_one))
@@ -284,15 +290,17 @@ def _chunk_sizes(trials: int) -> list[int]:
     return sizes
 
 
-def _map_chunks(fn, trials: int, rng: np.random.Generator, workers: int) -> list:
+def _map_chunks(fn, trials: int, rng: np.random.Generator | np.random.PCG64 | np.random.PCG64DXSM,
+                workers: int) -> list:
     """``fn(size, stream)`` of each fixed-size chunk of ``trials``, chunk i on child
-    stream i into slot i. The caller, as worker 0, starts ``min(workers, chunks) - 1``
-    helper threads, then each worker takes the next chunk until none is left. A failing
-    chunk (a Ctrl-C lands in the caller's) or helper start (entry -1) empties the shared
-    chunk iterator, so each worker stops after its chunk in flight. Once the caller is out
-    of chunks and has joined every live helper, the lowest entry's exception, the one a
-    serial loop would raise, is raised here: chunks are handed out in order, so all below
-    a failing one have run. A Ctrl-C in those joins leaves each helper its chunk in flight.
+    stream i into slot i; ``rng.spawn`` makes the streams, of ``rng``'s own kind. The
+    caller, as worker 0, starts ``min(workers, chunks) - 1`` helper threads, then each
+    worker takes the next chunk until none is left. A failing chunk (a Ctrl-C lands in
+    the caller's) or helper start (entry -1) empties the shared chunk iterator, so each
+    worker stops after its chunk in flight. Once the caller is out of chunks and has
+    joined every live helper, the lowest entry's exception, the one a serial loop would
+    raise, is raised here: chunks are handed out in order, so all below a failing one
+    have run. A Ctrl-C in those joins leaves each helper its chunk in flight.
 
     With two CPUs or more in the caller's affinity mask, helper t first binds itself
     (pid 0 is the calling thread on Linux) to CPU t of that mask, round-robin; the
@@ -335,7 +343,7 @@ def _map_chunks(fn, trials: int, rng: np.random.Generator, workers: int) -> list
 def monte_carlo_distribution(
     action: AliceAction | int,
     trials: int,
-    rng: np.random.Generator,
+    rng: np.random.Generator | np.random.PCG64 | np.random.PCG64DXSM,
     workers: int = 1,
 ) -> EmpiricalDistribution:
     """Empirical receiver-outcome frequencies over independent pair trials.
@@ -343,7 +351,8 @@ def monte_carlo_distribution(
     Counting is order-insensitive and chunk streams are derived from
     ``rng`` up front, so a given master seed yields identical results at
     any ``workers`` setting. A one-pair block decodes 1 exactly when the
-    receiver sees 1, so this counts one-pair blocks.
+    receiver sees 1, so this counts one-pair blocks. ``rng`` is as in
+    `monte_carlo_block_error`.
     """
     estimate = monte_carlo_block_error(action, 1, trials, rng, workers)
     trials, count_bob_1 = estimate.blocks, estimate.count_decoded_one
@@ -362,13 +371,15 @@ def monte_carlo_block_error(
     action: AliceAction | int,
     n_pairs: int,
     blocks: int,
-    rng: np.random.Generator,
+    rng: np.random.Generator | np.random.PCG64 | np.random.PCG64DXSM,
     workers: int = 1,
 ) -> BlockErrorEstimate:
     """Empirical OR-decode statistics over Monte Carlo blocks.
 
     Each block runs ``n_pairs`` fresh pairs through the pipeline and
-    decodes their OR, mirroring ``protocol.run_block``.
+    decodes their OR, mirroring ``protocol.run_block``. ``rng`` is a
+    Generator, or a bare PCG64 or PCG64DXSM bit generator, which counts what
+    ``Generator(rng)`` counts and leaves its stream where that would.
     """
     action = _action(action)
     n_pairs, blocks = _check_pairs(n_pairs, blocks)

@@ -70,30 +70,32 @@ def _bit_string(text: str) -> str:
     return text
 
 
-def _default_rng(seed: int) -> np.random.Generator:
-    """``np.random.default_rng(seed)``, which is ``Generator(PCG64(seed))``.
-    The package ``numpy.random`` also loads its legacy half (``mtrand`` and
-    three more bit generators), and its ``secrets`` loads ``hmac`` and
-    ``base64``; no command uses them. While no other thread can see them, the
-    two imports below find a stub package that never runs its ``__init__``
-    and a stub ``secrets`` holding only ``randbits``; a later import gets the
-    real modules, and an ``ImportError`` falls back to the plain import."""
-    generator = None
+def _default_rng(seed: int) -> np.random.PCG64:
+    """``PCG64(seed)``, the bit generator of ``np.random.default_rng(seed)``.
+    Every command reads its coins straight off the 64-bit outputs
+    (`dsl._pcg64`), which gives the coins of ``Generator(PCG64(seed))``, so
+    ``Generator`` is never loaded. The package ``numpy.random`` also loads
+    ``Generator`` and its legacy half (``mtrand`` and three more bit
+    generators), and its ``secrets`` loads ``hmac`` and ``base64``; no command
+    uses them. While no other thread can see them, the import below finds a
+    stub package that never runs its ``__init__`` and a stub ``secrets``
+    holding only ``randbits``; a later import gets the real modules, and an
+    ``ImportError`` falls back to ``np.random.PCG64``."""
+    pcg64 = None
     if threading.active_count() == 1 and not {"numpy.random", "secrets"} & sys.modules.keys():
         stubs = {"numpy.random": types.ModuleType("numpy.random"), "secrets": types.ModuleType("secrets")}
         stubs["numpy.random"].__path__ = [os.path.join(np.__path__[0], "random")]
         stubs["secrets"].randbits = SystemRandom().getrandbits  # what secrets.randbits is
         sys.modules.update(stubs)
         try:
-            from numpy.random._generator import Generator as generator
-            from numpy.random._pcg64 import PCG64
-        except ImportError:
-            generator = None
+            from numpy.random._pcg64 import PCG64 as pcg64
+        except ImportError:  # pcg64 stays None
+            pass
         finally:
             for name, stub in stubs.items():
                 if sys.modules.get(name) is stub:
                     del sys.modules[name]
-    return generator(PCG64(seed)) if generator else np.random.default_rng(seed)
+    return (pcg64 or np.random.PCG64)(seed)
 
 
 def cmd_exact(args) -> dict:
@@ -241,8 +243,13 @@ def _write(payload: dict | list[dict], fmt: str) -> None:
             writer.writerows(rows)
         out.flush()
     except OSError as exc:  # what stays in stdout's buffer would fail again in the flush at exit
-        os.dup2(devnull := os.open(os.devnull, os.O_WRONLY), out.fileno())
-        os.close(devnull)
+        try:
+            fd = out.fileno()
+        except (OSError, ValueError):  # no descriptor, as on a StringIO: none to redirect
+            pass
+        else:
+            os.dup2(devnull := os.open(os.devnull, os.O_WRONLY), fd)
+            os.close(devnull)
         if not isinstance(exc, BrokenPipeError):  # a closed reader chose to stop: not an error
             raise
 

@@ -251,37 +251,57 @@ def _draw(outcomes: tuple[_Outcome, ...], coins: np.ndarray) -> np.ndarray:
     return bits
 
 
-def _coins(outcomes: tuple[_Outcome, ...], shots: int, rng: np.random.Generator):
+def _pcg64(rng) -> bool:
+    """Whether ``rng`` is a bare PCG64 or PCG64DXSM bit generator. Each makes a
+    uniform from one 64-bit output, as ``(raw >> 11) * 2**-53``, so the coin
+    ``uniform >= 0.5`` is the output's top bit, ``raw.view(np.int64) < 0``, and
+    ``advance(count)`` jumps ``count`` uniforms in O(log count) steps. Both
+    classes come from their own module: ``np.random.PCG64`` would import the
+    whole package, which `cli._default_rng` leaves unloaded."""
+    from numpy.random._pcg64 import PCG64, PCG64DXSM
+    return isinstance(rng, (PCG64, PCG64DXSM))
+
+
+def _coins(outcomes: tuple[_Outcome, ...], shots: int,
+           rng: np.random.Generator | np.random.PCG64 | np.random.PCG64DXSM):
     """Yield the thresholded coins of ``shots`` runs of a compiled circuit
     (`_compile`), batch by batch, as `_draw` reads them: one row per
     measurement and one column per shot, with the uniforms laid out as in
     ``rng.random((shots, measurements)).T``.
 
-    A batch draws at most `_BATCH_UNIFORMS` uniforms and thresholds only the
-    rows some entry's sources name, one 1-D compare each; the other rows are
-    never written. Draws are sequential, so the stream does not depend on the
-    batch size. `_sample` and `_histogram` both read this one loop.
+    ``rng`` is a Generator, or a bare PCG64 or PCG64DXSM (`_pcg64`), whose
+    coins are the top bits of ``rng.random_raw`` in the same layout: the same
+    coins at the same stream positions. A batch draws at most
+    `_BATCH_UNIFORMS` uniforms and thresholds only the rows some entry's
+    sources name, one 1-D compare each; the other rows are never written.
+    Draws are sequential, so the stream does not depend on the batch size.
+    `_sample` and `_histogram` both read this one loop.
     """
     shots = _check_count("shots", shots, MAX_TRIALS)
     batch = max(1, _BATCH_UNIFORMS // max(1, len(outcomes)))
     read = set().union(*(sources for _, sources in outcomes))
+    raw = _pcg64(rng)
+    compare, threshold = (np.less, 0) if raw else (np.greater_equal, 0.5)
     for start in range(0, shots, batch):
-        uniforms = rng.random((min(batch, shots - start), len(outcomes))).T
-        coins = np.empty(uniforms.shape, dtype=bool)
+        shape = (min(batch, shots - start), len(outcomes))
+        draws = (rng.random_raw(shape).view(np.int64) if raw else rng.random(shape)).T
+        coins = np.empty(draws.shape, dtype=bool)
         for j in read:
-            np.greater_equal(uniforms[j], 0.5, out=coins[j])
-        del uniforms  # freed before the next batch is drawn, not after
+            compare(draws[j], threshold, out=coins[j])
+        del draws  # freed before the next batch is drawn, not after
         yield coins
 
 
-def _sample(outcomes: tuple[_Outcome, ...], shots: int, rng: np.random.Generator):
+def _sample(outcomes: tuple[_Outcome, ...], shots: int,
+            rng: np.random.Generator | np.random.PCG64 | np.random.PCG64DXSM):
     """Yield `_draw` bits of ``shots`` runs of a compiled circuit, batch by
     batch, from the coins of `_coins`."""
     for coins in _coins(outcomes, shots, rng):
         yield _draw(outcomes, coins)
 
 
-def _histogram(outcomes: tuple[_Outcome, ...], shots: int, rng: np.random.Generator) -> dict[str, int]:
+def _histogram(outcomes: tuple[_Outcome, ...], shots: int,
+               rng: np.random.Generator | np.random.PCG64 | np.random.PCG64DXSM) -> dict[str, int]:
     """Count of each record of ``shots`` runs of a compiled circuit, keyed by
     its bits in program order as a string of 0s and 1s; the draws are those
     of `_sample`.
@@ -316,14 +336,17 @@ def _histogram(outcomes: tuple[_Outcome, ...], shots: int, rng: np.random.Genera
     return {text[i * m:(i + 1) * m]: count for i, count in enumerate(counts)}
 
 
-def execute(circuit: Circuit, shots: int, rng: np.random.Generator) -> list[RunRecord]:
+def execute(circuit: Circuit, shots: int,
+            rng: np.random.Generator | np.random.PCG64 | np.random.PCG64DXSM) -> list[RunRecord]:
     """Run the circuit ``shots`` times, each from the ground state.
 
     Shots run in batches through the circuit's compiled map (`_compile`,
     `_draw`), with no amplitudes. Each measurement consumes one uniform;
     the uniforms are drawn shot by shot, in program order within a shot,
     as ``rng.random((shots, measurements))`` lays them out, so a fixed
-    seed reproduces every record bit for bit.
+    seed reproduces every record bit for bit. ``rng`` is a Generator, or a
+    bare PCG64 or PCG64DXSM bit generator, which gives the records of
+    ``Generator(rng)`` and leaves its stream where that would.
     """
     measures = [(ins.line, ins.args[0]) for ins in circuit.instructions if ins.op == "measure"]
     rows = (row for bits in _sample(_compile(circuit), shots, rng) for row in bits.T.tolist())

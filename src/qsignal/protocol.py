@@ -173,13 +173,17 @@ def run_pair(action: AliceAction | int, rng: RandomSource) -> ProtocolTrace:
 
 
 def run_block(
-    action: AliceAction | int, n_pairs: int, rng: np.random.Generator
+    action: AliceAction | int,
+    n_pairs: int,
+    rng: np.random.Generator | np.random.PCG64 | np.random.PCG64DXSM,
 ) -> BlockResult:
     """Run ``n_pairs`` independent pairs for one message bit.
 
     The decoded bit is the OR of the receiver's outcomes: a single 1
     proves the sender measured. Pairs draw their uniforms in turn, the
-    sender's before the receiver's, as ``run_pair`` would.
+    sender's before the receiver's, as ``run_pair`` would. ``rng`` is a
+    Generator, or a bare PCG64 or PCG64DXSM bit generator, which gives the
+    block of ``Generator(rng)`` and leaves its stream where that would.
     """
     n_pairs, _ = _check_pairs(n_pairs)
     bits = np.hstack([*_sample(_COMPILED_CIRCUITS[_action(action)], n_pairs, rng)])
@@ -188,15 +192,16 @@ def run_block(
 
 
 def transmit_message(
-    bits, n_pairs: int, rng: np.random.Generator
+    bits, n_pairs: int, rng: np.random.Generator | np.random.PCG64 | np.random.PCG64DXSM,
 ) -> list[int]:
     """Send each message bit through its own OR-decoded block.
 
     Block i draws from the i-th child stream spawned from ``rng``
-    (``numpy.random.Generator.spawn``), so the result is independent of
-    the order in which blocks execute. The length is checked before any
-    bit is converted; an iterable without a length is read at most one
-    bit past the cap. Each bit is 0 or 1: an int, a bool or a numpy bool.
+    (``rng.spawn``: Generators from a Generator, bit generators from a bare
+    PCG64 or PCG64DXSM, whose blocks are those of ``Generator(rng)``), so
+    the result is independent of the order in which blocks execute. The
+    length is checked before any bit is converted; an iterable without a
+    length is read at most one bit past the cap. Each bit is 0 or 1: an int, a bool or a numpy bool.
     """
     if isinstance(bits, Sized):
         count = len(bits)

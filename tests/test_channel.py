@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 import math
 import os
@@ -489,6 +490,8 @@ def test_block_error_worker_independence():
 
 
 BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64, np.random.MT19937]
+# the bit generators every seeded function also takes bare
+BARE_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM]
 
 
 def compiled(action):
@@ -519,14 +522,19 @@ def test_skipped_uniforms_keep_their_stream_positions(bit_generator, bit):
     wide = 40001
     assert wide > channel._SLICE and wide % channel._SLICE
     partials = [(n_pairs, 1000 * n_pairs + 1) for n_pairs in range(1, 13)] + [(1, wide), (3, wide)]
+    # A bare PCG64 or PCG64DXSM, whose coins are the top bits of its raw
+    # outputs, must count what its Generator-drawn reference counts.
+    streams = [np.random.Generator]
+    if bit_generator in BARE_GENERATORS:
+        streams.append(lambda bits: bits)
     for n_pairs, partial in partials:
         blocks = CHUNK_TRIALS + partial
         expected = drawn_decoded_ones(bit, n_pairs, blocks, np.random.Generator(bit_generator(n_pairs)))
-        for workers in (1, 2):
-            rng = np.random.Generator(bit_generator(n_pairs))
+        for workers, stream in itertools.product((1, 2), streams):
+            rng = stream(bit_generator(n_pairs))
             assert monte_carlo_block_error(bit, n_pairs, blocks, rng, workers).count_decoded_one == expected
             if n_pairs == 1:
-                rng = np.random.Generator(bit_generator(n_pairs))
+                rng = stream(bit_generator(n_pairs))
                 assert monte_carlo_distribution(bit, blocks, rng, workers).count_bob_1 == expected
 
 
@@ -557,6 +565,54 @@ def test_block_chunks_compute_only_the_receivers_uniforms(n_pairs):
     assert sum(values.size for values in send1.computed) == n_pairs * size
     np.testing.assert_array_equal(np.concatenate(send1.computed), rows[1::2].ravel())
     assert count == np.count_nonzero((rows[1::2] >= 0.5).any(axis=0))
+
+
+class CountingPCG64(np.random.PCG64):
+    """A bare PCG64 that keeps every array of raw outputs it computes."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.computed = []
+
+    def random_raw(self, size=None, output=True):
+        values = super().random_raw(size, output)
+        self.computed.append(values.copy())
+        return values
+
+
+@pytest.mark.parametrize("n_pairs", [1, 10])
+def test_bare_pcg64_chunks_compute_only_the_receivers_outputs(n_pairs):
+    # a chunk of two slices, the last one short
+    size = channel._SLICE + 7
+    send0 = CountingPCG64(15)
+    assert channel._decoded_ones(compiled(0), n_pairs, size, send0) == 0
+    assert send0.computed == []
+    assert send0.state["state"] == np.random.PCG64(15).state["state"]
+    send1 = CountingPCG64(15)
+    count = channel._decoded_ones(compiled(1), n_pairs, size, send1)
+    # pair p's sender reads row 2p of this layout, its receiver row 2p + 1
+    rows = np.random.PCG64(15).random_raw((2 * n_pairs, size))
+    assert [values.size for values in send1.computed] == [channel._SLICE, 7] * n_pairs
+    np.testing.assert_array_equal(np.concatenate(send1.computed), rows[1::2].ravel())
+    assert count == np.count_nonzero((rows[1::2].view(np.int64) < 0).any(axis=0))
+    assert count == channel._decoded_ones(compiled(1), n_pairs, size, np.random.Generator(np.random.PCG64(15)))
+    # the stream stops right after the last receiver row, where drawing every row would put it
+    after = np.random.PCG64(15)
+    after.advance((2 * n_pairs) * size)
+    assert send1.state["state"] == after.state["state"]
+
+
+@pytest.mark.parametrize("bit_generator", [*BARE_GENERATORS, np.random.MT19937], ids=lambda bg: bg.__name__)
+def test_a_pcg64_coin_is_the_top_bit_of_its_raw_output(bit_generator):
+    # uniform = (raw >> 11) * 2**-53, so uniform >= 1/2 iff raw's top bit is set;
+    # MT19937 makes a double from two 32-bit words, so it keeps `.random`
+    n = 100_000
+    coins = np.random.Generator(bit_generator(3)).random(n) >= 0.5
+    top_bits = bit_generator(3).random_raw(n).view(np.int64) < 0
+    bare = bit_generator in BARE_GENERATORS
+    assert np.array_equal(coins, top_bits) == bare
+    assert dsl._pcg64(bit_generator(3)) == bare
+    assert not dsl._pcg64(np.random.Generator(bit_generator(3)))
 
 
 @pytest.mark.parametrize("n_pairs", [1, 3])

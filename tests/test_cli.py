@@ -440,6 +440,27 @@ def test_a_failing_stdout_write_leaves_no_descriptor_open(capsys, monkeypatch):
     assert len(os.listdir("/proc/self/fd")) == before
 
 
+class FullStringIO(io.StringIO):
+    """A stdout with no descriptor whose every write fails as a full disk would."""
+
+    def write(self, text):
+        raise OSError(28, os.strerror(28))  # ENOSPC
+
+
+def test_a_failing_write_to_a_stdout_without_descriptor_reports_its_own_error(capsys, monkeypatch):
+    # there is no descriptor to point at /dev/null: the write's error is reported
+    # (not fileno's), and no descriptor is opened for it
+    fds = os.path.isdir("/proc/self/fd")
+    before = len(os.listdir("/proc/self/fd")) if fds else None
+    for _ in range(5):
+        monkeypatch.setattr(sys, "stdout", FullStringIO())
+        assert main(["exact", "--bit", "1"]) == 1
+        monkeypatch.undo()
+        assert capsys.readouterr().err == f"error: [Errno 28] {os.strerror(28)}\n"
+    if fds:
+        assert len(os.listdir("/proc/self/fd")) == before
+
+
 @pytest.mark.parametrize("where", ["monte_carlo_block_error", "_write"])
 def test_ctrl_c_exits_130_with_nothing_written(capsys, monkeypatch, where):
     # the handler's work or the write, each interrupted as SIGINT would

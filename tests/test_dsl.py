@@ -26,6 +26,8 @@ from qsignal import (
     not_gate,
     parse,
     render,
+    run_block,
+    transmit_message,
 )
 from qsignal import OutcomeDistribution, dsl, statevector
 from qsignal.channel import _receiver_distribution
@@ -570,6 +572,28 @@ def test_histogram_counts_edge_circuits_across_batches(text, coins):
     assert histogram == expected
     assert sum(histogram.values()) == 1000
     assert len(histogram) == (1000 if coins else 1)
+
+
+@given(circuits(), st.integers(0, 2**32 - 1), st.integers(1, 200),
+       st.lists(st.integers(0, 1), min_size=1, max_size=6), st.integers(1, 12),
+       st.sampled_from([np.random.PCG64, np.random.PCG64DXSM]))
+@settings(max_examples=100, deadline=None)
+def test_a_bare_pcg64_runs_as_its_generator(circuit, seed, shots, message, n_pairs, bit_generator):
+    # coins read off a bare PCG64's raw outputs are those of Generator(PCG64),
+    # at the same stream positions, over batches of at most 8 uniforms
+    bare, generator = bit_generator(seed), np.random.Generator(bit_generator(seed))
+    outcomes = dsl._compile(circuit)
+    with mock.patch.object(dsl, "_BATCH_UNIFORMS", 8):
+        assert execute(circuit, shots, bare) == execute(circuit, shots, generator)
+        assert bare.state == generator.bit_generator.state
+        assert dsl._histogram(outcomes, shots, bare) == dsl._histogram(outcomes, shots, generator)
+        assert bare.state == generator.bit_generator.state
+    for bit in message:
+        assert run_block(bit, n_pairs, bare) == run_block(bit, n_pairs, generator)
+    assert bare.state == generator.bit_generator.state
+    assert transmit_message(message, n_pairs, bare) == transmit_message(message, n_pairs, generator)
+    assert bare.state == generator.bit_generator.state
+    assert bare.seed_seq.n_children_spawned == generator.bit_generator.seed_seq.n_children_spawned
 
 
 def test_execute_x_gate_prepares_deterministic_outcome():

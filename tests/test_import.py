@@ -1,8 +1,8 @@
 """`import qsignal` exports exactly the public names it imports, and loads
 numpy without OpenBLAS's worker threads, leaving the environment as it
 found it; `import qsignal.cli` loads no module that only some commands
-use. A seeded command loads neither numpy.random's legacy half nor
-``secrets`` and OpenSSL's hashes, and a later ``import numpy.random``,
+use. A seeded command loads none of numpy.random's ``Generator``, its
+legacy half, ``secrets`` and OpenSSL's hashes, and a later ``import numpy.random``,
 ``import secrets`` or ``import hmac`` gets the real module; the stubs that
 make this so are skipped when they are not safe, and an ``ImportError``
 under them falls back to the plain import. Each case runs in a fresh
@@ -95,13 +95,14 @@ def test_cli_loads_no_module_its_commands_do_not_run(tmp_path):
     # The Monte Carlo chunks run on plain threads and CSV output imports csv
     # when asked for: a thread pool would bring logging, queue and more. A
     # byte-order mark is stripped as a prefix, not by the utf-8-sig codec.
-    # Generator and PCG64 are imported without the numpy.random package's
-    # __init__ and with a stub secrets, so no command loads the legacy
-    # generators or hashes anything.
+    # PCG64 alone is imported, without the numpy.random package's __init__
+    # and with a stub secrets, so no command loads Generator, the legacy
+    # generators or hashes anything: coins are read off PCG64's raw outputs.
     unused = ["concurrent.futures", "logging", "queue", "csv", "encodings.utf_8_sig",
               "hmac", "hashlib", "_hashlib", "secrets", "base64",
               "numpy.random.mtrand", "numpy.random._pickle", "numpy.random._mt19937",
-              "numpy.random._philox", "numpy.random._sfc64"]
+              "numpy.random._philox", "numpy.random._sfc64",
+              "numpy.random._generator", "numpy.random._bounded_integers"]
     bom = tmp_path / "bom.qc"
     bom.write_bytes(b"\xef\xbb\xbfqubits 2\nh 1\ncnot 1 0\nmeasure 0\nmeasure 1\n")
     after_import, after_block = run_fresh(
@@ -156,21 +157,23 @@ def test_a_later_import_gets_the_real_numpy_random():
         "unbound = ['random' not in vars(np), 'numpy.random' not in sys.modules]\n"
         "rng = qsignal.cli._default_rng(5)\n"
         "import numpy.random\n"
+        "from numpy.random import Generator, PCG64\n"
         "from numpy.random.bit_generator import SeedSequence\n"
         "state.append([\n"
         "    unbound,\n"
-        "    type(rng) is np.random.Generator,\n"
+        "    type(rng) is PCG64,\n"
         "    [np.random.default_rng(s).random(5).tolist()\n"
-        "     == qsignal.cli._default_rng(s).random(5).tolist() for s in (0, 1, 2**31 - 1, 2**70)],\n"
-        "    pickle.loads(pickle.dumps(rng)).random(3).tolist() == rng.random(3).tolist(),\n"
+        "     == Generator(qsignal.cli._default_rng(s)).random(5).tolist()\n"
+        "     for s in (0, 1, 2**31 - 1, 2**70)],\n"
+        "    pickle.loads(pickle.dumps(rng)).random_raw(3).tolist() == rng.random_raw(3).tolist(),\n"
         "    np.random.RandomState(0).rand(),\n"
         "    SeedSequence().entropy > 0,\n"
         "    'numpy.random.mtrand' in sys.modules])"))
     assert [code, out] == plain_stdout()
     assert loaded == [] and stubs == []  # the command itself loaded none of them
-    unbound, generator_type, same_streams, pickled, legacy_draw, entropy, legacy_after = checks
+    unbound, pcg64_type, same_streams, pickled, legacy_draw, entropy, legacy_after = checks
     assert unbound == [True, True]
-    assert generator_type
+    assert pcg64_type
     assert same_streams == [True] * 4
     assert pickled
     assert legacy_draw == 0.5488135039273248  # RandomState(0).rand()
@@ -214,7 +217,7 @@ def test_imports_are_left_alone_when_the_stub_is_not_safe(before, after, left):
     assert loaded == left and stubs == []
 
 
-@pytest.mark.parametrize("module", ["numpy.random._generator", "numpy.random._pcg64"])
+@pytest.mark.parametrize("module", ["numpy.random._pcg64"])
 def test_an_import_error_under_the_stubs_falls_back_to_the_real_package(module):
     # The first import of ``module`` raises, as a missing or broken extension
     # would; the plain import that follows finds it.
