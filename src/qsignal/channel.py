@@ -10,7 +10,7 @@ Statistical side: a chunked Monte Carlo engine that samples the circuit,
 many trials at once. An OR-decoded block reads only the receiver's bits,
 so a block chunk draws only the receiver's source rows and evaluates its
 entry with `dsl._draw`, the rule the shot sampler uses; each skipped
-uniform keeps its stream position (`_skip`), so counts are those of
+uniform keeps its stream position (`dsl._skip`), so counts are those of
 drawing every uniform.
 
 The channel's crossovers are read off the same compiled circuits
@@ -28,7 +28,7 @@ from threading import Thread
 
 import numpy as np
 
-from .dsl import Circuit, Instruction, _check_count, _Outcome, _compile, _draw, _pcg64
+from .dsl import Circuit, Instruction, _check_count, _Outcome, _compile, _draw, _fill_coins, _skip
 from .protocol import (  # noqa: F401
     _COMPILED_CIRCUITS, MAX_TRIALS, AliceAction, _action, _check_pairs, _protocol_circuit)
 
@@ -41,7 +41,7 @@ ANCILLA_QUBIT = 2
 CHUNK_TRIALS = 1 << 16
 # Workers per call, the caller and its helper threads, checked before any stream is spawned.
 _MAX_WORKERS = 64
-_SLICE = 1 << 15  # uniforms per slice of a block chunk's row: a 256 KiB buffer
+_SLICE = 1 << 15  # coins per slice of a block chunk's row: a 256 KiB temporary for each
 
 
 @dataclass(frozen=True)
@@ -229,23 +229,6 @@ def channel_capacity(channel: ZChannel) -> tuple[float, float]:
 # --- vectorized Monte Carlo engine ------------------------------------------
 
 
-def _skip(stream: np.random.Generator | np.random.PCG64 | np.random.PCG64DXSM,
-          count: int) -> None:
-    """Move ``stream`` past ``count`` uniforms as if it had drawn them.
-
-    A PCG64 or PCG64DXSM (`dsl._pcg64`), bare or a Generator's, makes one
-    uniform from one 64-bit output, so its own `advance` jumps exactly
-    ``count`` draws in O(log count) steps. Other generators draw and
-    discard: Philox advances in blocks of four outputs, and MT19937 makes
-    one double from two 32-bit words.
-    """
-    bits = getattr(stream, "bit_generator", stream)  # a bare bit generator is its own
-    if _pcg64(bits):
-        bits.advance(count)
-    else:
-        stream.random(count)
-
-
 def _decoded_ones(outcomes: tuple[_Outcome, ...], n_pairs: int, size: int,
                   stream: np.random.Generator | np.random.PCG64 | np.random.PCG64DXSM) -> int:
     """How many of ``size`` blocks of ``n_pairs`` pairs decode 1.
@@ -254,30 +237,22 @@ def _decoded_ones(outcomes: tuple[_Outcome, ...], n_pairs: int, size: int,
     the receiver's bit is its last outcome. Pair p owns rows ``p * m`` to
     ``p * m + m - 1`` of ``size`` uniforms each, as
     ``stream.random((n_pairs * m, size))`` lays them out for its ``m``
-    measurements, but only the receiver's source rows are drawn, in
-    consecutive slices of at most `_SLICE` thresholded once into coin rows,
-    and `_draw` evaluates its entry from them. `_skip` passes the other rows,
-    so every row keeps its position. A Generator's slices are drawn into one
-    reused buffer; a bare PCG64 or PCG64DXSM's coins are the top bits of
-    ``stream.random_raw``, the same coins at the same positions (`dsl._pcg64`).
+    measurements, but only the receiver's source rows are drawn, each as
+    consecutive slices of at most `_SLICE` coins (`_fill_coins`), and `_draw`
+    evaluates its entry from them. `_skip` passes the other rows, so every
+    row keeps its position.
     """
     m = len(outcomes)
     receiver = outcomes[-1:]
     _, sources = receiver[0]
     coins = np.empty((m, size), dtype=bool)  # rows no source names are never written, so never paged in
-    raw = _pcg64(stream)
-    u = None if raw else np.empty(min(size, _SLICE))
     any_one = np.zeros(size, dtype=bool)
     drawn = 0
     for p in range(n_pairs):
         for k in sources:
             _skip(stream, (p * m + k - drawn) * size)
             for start in range(0, size, _SLICE):
-                out = coins[k, start:start + _SLICE]
-                if raw:
-                    np.less(stream.random_raw(len(out)).view(np.int64), 0, out=out)
-                else:
-                    np.greater_equal(stream.random(out=u[:len(out)]), 0.5, out=out)
+                _fill_coins(stream, coins[k, start:start + _SLICE])
             drawn = p * m + k + 1
         any_one |= _draw(receiver, coins)[0]
     return int(np.count_nonzero(any_one))

@@ -73,7 +73,7 @@ def _bit_string(text: str) -> str:
 def _default_rng(seed: int) -> np.random.PCG64:
     """``PCG64(seed)``, the bit generator of ``np.random.default_rng(seed)``.
     Every command reads its coins straight off the 64-bit outputs
-    (`dsl._pcg64`), which gives the coins of ``Generator(PCG64(seed))``, so
+    (`dsl._fill_coins`), which gives the coins of ``Generator(PCG64(seed))``, so
     ``Generator`` is never loaded. The package ``numpy.random`` also loads
     ``Generator`` and its legacy half (``mtrand`` and three more bit
     generators), and its ``secrets`` loads ``hmac`` and ``base64``; no command

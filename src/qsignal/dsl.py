@@ -252,44 +252,60 @@ def _draw(outcomes: tuple[_Outcome, ...], coins: np.ndarray) -> np.ndarray:
 
 
 def _pcg64(rng) -> bool:
-    """Whether ``rng`` is a bare PCG64 or PCG64DXSM bit generator. Each makes a
-    uniform from one 64-bit output, as ``(raw >> 11) * 2**-53``, so the coin
-    ``uniform >= 0.5`` is the output's top bit, ``raw.view(np.int64) < 0``, and
-    ``advance(count)`` jumps ``count`` uniforms in O(log count) steps. Both
-    classes come from their own module: ``np.random.PCG64`` would import the
-    whole package, which `cli._default_rng` leaves unloaded."""
+    """Whether ``rng`` is a bare PCG64 or PCG64DXSM bit generator, which makes
+    a uniform from one 64-bit output, as ``(raw >> 11) * 2**-53``. Both classes
+    come from their own module: ``np.random.PCG64`` would import the whole
+    package, which `cli._default_rng` leaves unloaded."""
     from numpy.random._pcg64 import PCG64, PCG64DXSM
     return isinstance(rng, (PCG64, PCG64DXSM))
 
 
+def _skip(stream: np.random.Generator | np.random.PCG64 | np.random.PCG64DXSM,
+          count: int) -> None:
+    """Move ``stream`` past ``count`` uniforms as if it had drawn them.
+
+    A PCG64 or PCG64DXSM (`_pcg64`), bare or a Generator's, makes one
+    uniform from one 64-bit output, so its own `advance` jumps exactly
+    ``count`` draws in O(log count) steps. Other generators draw and
+    discard: Philox advances in blocks of four outputs, and MT19937 makes
+    one double from two 32-bit words.
+    """
+    bits = getattr(stream, "bit_generator", stream)  # a bare bit generator is its own
+    if _pcg64(bits):
+        bits.advance(count)
+    else:
+        stream.random(count)
+
+
+def _fill_coins(rng: np.random.Generator | np.random.PCG64 | np.random.PCG64DXSM,
+                out: np.ndarray) -> None:
+    """Write ``rng``'s next ``out.size`` coins, uniforms ``>= 0.5``, into the
+    bool array ``out`` in one draw, laid out as ``rng.random(out.shape)``. A
+    bare PCG64 or PCG64DXSM's coin is the top bit of its raw output (`_pcg64`).
+    This is the only code that turns a stream into coins."""
+    if _pcg64(rng):
+        np.less(rng.random_raw(out.shape).view(np.int64), 0, out=out)
+    else:
+        np.greater_equal(rng.random(out.shape), 0.5, out=out)
+
+
 def _coins(outcomes: tuple[_Outcome, ...], shots: int,
            rng: np.random.Generator | np.random.PCG64 | np.random.PCG64DXSM):
-    """Yield the thresholded coins of ``shots`` runs of a compiled circuit
-    (`_compile`), batch by batch, as `_draw` reads them: one row per
-    measurement and one column per shot, with the uniforms laid out as in
-    ``rng.random((shots, measurements)).T``.
+    """Yield the coins of ``shots`` runs of a compiled circuit (`_compile`),
+    batch by batch, as `_draw` reads them: one row per measurement and one
+    column per shot, laid out as ``rng.random((shots, measurements)).T``.
 
-    ``rng`` is a Generator, or a bare PCG64 or PCG64DXSM (`_pcg64`), whose
-    coins are the top bits of ``rng.random_raw`` in the same layout: the same
-    coins at the same stream positions. A batch draws at most
-    `_BATCH_UNIFORMS` uniforms and thresholds only the rows some entry's
-    sources name, one 1-D compare each; the other rows are never written.
+    ``rng`` is a Generator, or a bare PCG64 or PCG64DXSM (`_fill_coins`). A
+    batch fills at most `_BATCH_UNIFORMS` coins, shot-major, in one draw.
     Draws are sequential, so the stream does not depend on the batch size.
     `_sample` and `_histogram` both read this one loop.
     """
     shots = _check_count("shots", shots, MAX_TRIALS)
     batch = max(1, _BATCH_UNIFORMS // max(1, len(outcomes)))
-    read = set().union(*(sources for _, sources in outcomes))
-    raw = _pcg64(rng)
-    compare, threshold = (np.less, 0) if raw else (np.greater_equal, 0.5)
     for start in range(0, shots, batch):
-        shape = (min(batch, shots - start), len(outcomes))
-        draws = (rng.random_raw(shape).view(np.int64) if raw else rng.random(shape)).T
-        coins = np.empty(draws.shape, dtype=bool)
-        for j in read:
-            compare(draws[j], threshold, out=coins[j])
-        del draws  # freed before the next batch is drawn, not after
-        yield coins
+        coins = np.empty((min(batch, shots - start), len(outcomes)), dtype=bool)
+        _fill_coins(rng, coins)
+        yield coins.T
 
 
 def _sample(outcomes: tuple[_Outcome, ...], shots: int,

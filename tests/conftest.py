@@ -33,7 +33,7 @@ class EdgeStream:
     """A Generator stand-in whose every uniform is one of EDGE_DRAWS, picked by
     a seeded stream's uniform at the same position, so the values do not depend
     on how the draws are split into calls. Each array it returns is kept in
-    ``drawn``. It has no bit generator that `channel._skip` can jump, so
+    ``drawn``. It has no bit generator that `dsl._skip` can jump, so
     skipped uniforms are drawn and kept too.
     """
 

@@ -615,6 +615,24 @@ def test_a_pcg64_coin_is_the_top_bit_of_its_raw_output(bit_generator):
     assert not dsl._pcg64(np.random.Generator(bit_generator(3)))
 
 
+@pytest.mark.parametrize("bit_generator, bare", [pytest.param(bg, False, id=bg.__name__) for bg in BIT_GENERATORS]
+                         + [pytest.param(bg, True, id=f"bare-{bg.__name__}") for bg in BARE_GENERATORS])
+@pytest.mark.parametrize("shape", [(channel._SLICE + 7,), (300, 13)], ids=["slice", "batch"])
+def test_fill_coins_reads_the_coins_of_random(bit_generator, bare, shape):
+    # the one coin reader, on every stream kind: the coins and the stream
+    # position of ``Generator.random(shape) >= 0.5``, then `_skip` past an
+    # odd count, which Philox's four-output blocks do not divide
+    reference = np.random.Generator(bit_generator(4))
+    rng = bit_generator(4) if bare else np.random.Generator(bit_generator(4))
+    out = np.empty(shape, dtype=bool)
+    dsl._fill_coins(rng, out)
+    np.testing.assert_array_equal(out, reference.random(shape) >= 0.5)
+    np.testing.assert_equal(getattr(rng, "bit_generator", rng).state, reference.bit_generator.state)
+    dsl._skip(rng, 1001)
+    reference.random(1001)
+    np.testing.assert_equal(getattr(rng, "bit_generator", rng).state, reference.bit_generator.state)
+
+
 @pytest.mark.parametrize("n_pairs", [1, 3])
 def test_block_chunks_threshold_edge_draws_as_the_dense_oracle(n_pairs):
     # every uniform is 1/2, just below it or 0, in a chunk of two slices, the
@@ -630,8 +648,8 @@ def test_block_chunks_threshold_edge_draws_as_the_dense_oracle(n_pairs):
 
 
 def test_block_chunk_peak_memory_is_below_one_float_row():
-    # a chunk holds a 256 KiB slice buffer, 128 KiB of coin rows and 64 KiB
-    # each for the OR and `_draw`'s row, never a whole 512 KiB float64 row
+    # a chunk holds a 256 KiB temporary for each slice, 128 KiB of coin rows and
+    # 64 KiB each for the OR and `_draw`'s row, never a whole 512 KiB float64 row
     outcomes, stream = compiled(1), np.random.default_rng(23)
     tracemalloc.start()
     try:

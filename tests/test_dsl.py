@@ -517,6 +517,20 @@ def test_sample_holds_no_amplitudes():
     assert peak < 16 << 20
 
 
+@pytest.mark.parametrize("circuit", [load(GOLDEN / "mixed12.qc"), parse(ghz_text(6))], ids=["mixed12", "ghz6"])
+@pytest.mark.parametrize("stream", [np.random.PCG64, lambda seed: np.random.Generator(np.random.PCG64(seed))],
+                         ids=["bare", "generator"])
+def test_coins_fill_every_row_as_random_lays_it_out(circuit, stream):
+    # every row, those no entry's sources name too, holds the coins of
+    # ``random((shots, m)).T``, across batches of at most 64 uniforms
+    outcomes = dsl._compile(circuit)
+    assert len(set().union(*(sources for _, sources in outcomes))) < len(outcomes)
+    with mock.patch.object(dsl, "_BATCH_UNIFORMS", 64):
+        coins = np.concatenate(list(dsl._coins(outcomes, 101, stream(12))), axis=1)
+    expected = np.random.default_rng(12).random((101, len(outcomes))).T >= 0.5
+    np.testing.assert_array_equal(coins, expected)
+
+
 @given(circuits(), st.integers(0, 2**32 - 1), st.integers(1, 200))
 @settings(max_examples=100, deadline=None)
 def test_run_histogram_counts_the_execute_records(tmp_path_factory, circuit, seed, shots):
