@@ -23,8 +23,8 @@ import operator
 import re
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
-from typing import NamedTuple
+from itertools import islice, permutations, product
+from typing import NamedTuple, TypeAlias
 
 import numpy as np
 
@@ -87,6 +87,8 @@ _MAX_RECORD_BITS = 40 << 20
 _BATCH_UNIFORMS = 1 << 18
 # A compiled ``measure``: ``(constant, sources)``, a fair coin k being ``(0, (k,))``.
 _Outcome = tuple[int, tuple[int, ...]]
+# A stream `_fill_coins` reads: a Generator, or a bare PCG64, PCG64DXSM or `_PyPCG64`.
+_Stream: TypeAlias = "np.random.Generator | np.random.PCG64 | np.random.PCG64DXSM | _PyPCG64"
 # Runs per call, checked before any draw: shots here, pair runs in `protocol`.
 MAX_TRIALS = 1 << 32
 
@@ -251,6 +253,44 @@ def _draw(outcomes: tuple[_Outcome, ...], coins: np.ndarray) -> np.ndarray:
     return bits
 
 
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+class _PyPCG64:
+    """The stream of numpy's ``PCG64(seed)`` for an int ``seed >= 0`` in Python
+    ints, so no numpy.random module loads; ``random_raw`` is its one method. It
+    seeds as numpy's ``SeedSequence`` and PCG64's set-seed do, and its outputs
+    are 128-bit LCG steps through XSL-RR (O'Neill, "PCG", HMC-CS-2014-0905)."""
+
+    def __init__(self, seed: int):
+        entropy = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+        const, mult = 0x43B0D7E5, 0x931E8875  # SeedSequence's INIT_A and MULT_A
+
+        def hashmix(value: int) -> int:
+            nonlocal const
+            value = (value ^ const) * (const := const * mult & _M32) & _M32
+            return value ^ value >> 16
+
+        # mix_entropy: a 4-word pool, mixed into itself, then the entropy past 4 words into it
+        cells = [hashmix(value) for value in entropy[:4] + [0] * (4 - len(entropy))] + entropy[4:]
+        for src, dst in [*permutations(range(4), 2), *product(range(4, len(cells)), range(4))]:
+            x = (0xCA01F9DD * cells[dst] - 0x4973F715 * hashmix(cells[src])) & _M32
+            cells[dst] = x ^ x >> 16
+        const, mult = 0x8B51F9DD, 0x58F38DED  # generate_state(4, np.uint64): INIT_B, MULT_B
+        w0, w1, w2, w3 = (hashmix(cells[k]) | hashmix(cells[k + 1]) << 32 for k in (0, 2, 0, 2))
+        self._inc = (w2 << 64 | w3) << 1 | 1  # set-seed, high words first; bit 128 never shows
+        self._state = ((self._inc + (w0 << 64 | w1)) * _PCG64_MULT + self._inc) & _M128
+
+    def random_raw(self, shape: tuple[int, ...]) -> np.ndarray:
+        out, state, inc, words = np.empty(shape, dtype=np.uint64), self._state, self._inc, []
+        for _ in range(out.size):  # XSL-RR: the state's halves XORed, rotated by its top 6 bits
+            state = (state * _PCG64_MULT + inc) & _M128
+            words.append(((x := (state >> 64 ^ state) & _M64) | x << 64) >> (state >> 122) & _M64)
+        self._state, out.flat = state, words
+        return out
+
+
 def _pcg64(rng) -> bool:
     """Whether ``rng`` is a bare PCG64 or PCG64DXSM bit generator, which makes
     a uniform from one 64-bit output, as ``(raw >> 11) * 2**-53``. Both classes
@@ -268,8 +308,10 @@ def _skip(stream: np.random.Generator | np.random.PCG64 | np.random.PCG64DXSM,
     uniform from one 64-bit output, so its own `advance` jumps exactly
     ``count`` draws in O(log count) steps. Other generators draw and
     discard: Philox advances in blocks of four outputs, and MT19937 makes
-    one double from two 32-bit words.
+    one double from two 32-bit words. A `_PyPCG64` can do neither: TypeError.
     """
+    if isinstance(stream, _PyPCG64):
+        raise TypeError("_skip needs a numpy stream; a _PyPCG64 can neither jump nor draw uniforms")
     bits = getattr(stream, "bit_generator", stream)  # a bare bit generator is its own
     if _pcg64(bits):
         bits.advance(count)
@@ -277,28 +319,26 @@ def _skip(stream: np.random.Generator | np.random.PCG64 | np.random.PCG64DXSM,
         stream.random(count)
 
 
-def _fill_coins(rng: np.random.Generator | np.random.PCG64 | np.random.PCG64DXSM,
-                out: np.ndarray) -> None:
+def _fill_coins(rng: _Stream, out: np.ndarray) -> None:
     """Write ``rng``'s next ``out.size`` coins, uniforms ``>= 0.5``, into the
     bool array ``out`` in one draw, laid out as ``rng.random(out.shape)``. A
-    bare PCG64 or PCG64DXSM's coin is the top bit of its raw output (`_pcg64`).
-    This is the only code that turns a stream into coins."""
-    if _pcg64(rng):
+    `_PyPCG64`'s coin, or a bare PCG64 or PCG64DXSM's (`_pcg64`), is the top bit
+    of its raw output. This is the only code that turns a stream into coins."""
+    if isinstance(rng, _PyPCG64) or _pcg64(rng):
         np.less(rng.random_raw(out.shape).view(np.int64), 0, out=out)
     else:
         np.greater_equal(rng.random(out.shape), 0.5, out=out)
 
 
-def _coins(outcomes: tuple[_Outcome, ...], shots: int,
-           rng: np.random.Generator | np.random.PCG64 | np.random.PCG64DXSM):
+def _coins(outcomes: tuple[_Outcome, ...], shots: int, rng: _Stream):
     """Yield the coins of ``shots`` runs of a compiled circuit (`_compile`),
     batch by batch, as `_draw` reads them: one row per measurement and one
     column per shot, laid out as ``rng.random((shots, measurements)).T``.
 
-    ``rng`` is a Generator, or a bare PCG64 or PCG64DXSM (`_fill_coins`). A
-    batch fills at most `_BATCH_UNIFORMS` coins, shot-major, in one draw.
-    Draws are sequential, so the stream does not depend on the batch size.
-    `_sample` and `_histogram` both read this one loop.
+    ``rng`` is a `_Stream`. A batch fills at most `_BATCH_UNIFORMS` coins,
+    shot-major, in one draw (`_fill_coins`). Draws are sequential, so the
+    stream does not depend on the batch size. `_sample` and `_histogram` both
+    read this one loop.
     """
     shots = _check_count("shots", shots, MAX_TRIALS)
     batch = max(1, _BATCH_UNIFORMS // max(1, len(outcomes)))
@@ -308,16 +348,14 @@ def _coins(outcomes: tuple[_Outcome, ...], shots: int,
         yield coins.T
 
 
-def _sample(outcomes: tuple[_Outcome, ...], shots: int,
-            rng: np.random.Generator | np.random.PCG64 | np.random.PCG64DXSM):
+def _sample(outcomes: tuple[_Outcome, ...], shots: int, rng: _Stream):
     """Yield `_draw` bits of ``shots`` runs of a compiled circuit, batch by
     batch, from the coins of `_coins`."""
     for coins in _coins(outcomes, shots, rng):
         yield _draw(outcomes, coins)
 
 
-def _histogram(outcomes: tuple[_Outcome, ...], shots: int,
-               rng: np.random.Generator | np.random.PCG64 | np.random.PCG64DXSM) -> dict[str, int]:
+def _histogram(outcomes: tuple[_Outcome, ...], shots: int, rng: _Stream) -> dict[str, int]:
     """Count of each record of ``shots`` runs of a compiled circuit, keyed by
     its bits in program order as a string of 0s and 1s; the draws are those
     of `_sample`.

@@ -602,6 +602,35 @@ def test_bare_pcg64_chunks_compute_only_the_receivers_outputs(n_pairs):
     assert send1.state["state"] == after.state["state"]
 
 
+# raw outputs at the coin's boundary: uniform 0.0, the largest below 1/2, 1/2, the largest
+BOUNDARY_WORDS = [0, 2**63 - 1, 2**63, 2**64 - 1]
+
+
+class BoundaryPCG64(np.random.PCG64):
+    """A bare PCG64 whose raw outputs are BOUNDARY_WORDS, repeated."""
+
+    def random_raw(self, size=None, output=True):
+        return np.resize(np.array(BOUNDARY_WORDS, dtype=np.uint64), size)
+
+
+class BoundaryPyPCG64(dsl._PyPCG64):
+    """The same words from the Python PCG64 stream."""
+
+    def random_raw(self, shape):
+        return np.resize(np.array(BOUNDARY_WORDS, dtype=np.uint64), shape)
+
+
+@pytest.mark.parametrize("stream", [BoundaryPCG64, BoundaryPyPCG64], ids=["numpy", "python"])
+def test_a_raw_coin_is_its_uniform_at_least_one_half(stream):
+    # a raw word 0 is the uniform 0.0, whose coin is 0: only 2^-64 of the
+    # draws, so no seeded stream reaches it
+    out = np.empty((2, 4), dtype=bool)
+    dsl._fill_coins(stream(0), out)
+    coins = [(word >> 11) * 2**-53 >= 0.5 for word in BOUNDARY_WORDS]
+    assert coins == [False, False, True, True]
+    assert out.tolist() == [coins, coins]
+
+
 @pytest.mark.parametrize("bit_generator", [*BARE_GENERATORS, np.random.MT19937], ids=lambda bg: bg.__name__)
 def test_a_pcg64_coin_is_the_top_bit_of_its_raw_output(bit_generator):
     # uniform = (raw >> 11) * 2**-53, so uniform >= 1/2 iff raw's top bit is set;
@@ -631,6 +660,16 @@ def test_fill_coins_reads_the_coins_of_random(bit_generator, bare, shape):
     dsl._skip(rng, 1001)
     reference.random(1001)
     np.testing.assert_equal(getattr(rng, "bit_generator", rng).state, reference.bit_generator.state)
+
+
+def test_skip_refuses_a_python_pcg64_and_leaves_it_unmoved():
+    # `dsl._PyPCG64` has neither a jump-ahead nor uniforms; only `run` makes
+    # one, and `run` never skips
+    stream = dsl._PyPCG64(0)
+    with pytest.raises(TypeError, match="_PyPCG64"):
+        dsl._skip(stream, 5)
+    assert not dsl._pcg64(stream)
+    np.testing.assert_array_equal(stream.random_raw((3,)), np.random.PCG64(0).random_raw(3))
 
 
 @pytest.mark.parametrize("n_pairs", [1, 3])

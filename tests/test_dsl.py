@@ -29,7 +29,7 @@ from qsignal import (
     run_block,
     transmit_message,
 )
-from qsignal import OutcomeDistribution, dsl, statevector
+from qsignal import OutcomeDistribution, cli, dsl, statevector
 from qsignal.channel import _receiver_distribution
 from qsignal.cli import cmd_run
 from qsignal.dsl import MAX_TRIALS
@@ -412,6 +412,9 @@ def test_executor_gates_are_clifford():
 # the second measure is NOT the first, ((0, (0,)), (1, (0,))): that sign comes only
 # from the (-1)^|z1 & x2| term of a row product, which random circuits seldom reach
 @example(parse("qubits 2\nh 0\ncnot 0 1\nh 0\ncnot 0 1\nmeasure 1\nh 0\nmeasure 0\n"), 0, 40)
+# a determined outcome whose sign comes only from that term of the product of
+# stabilizers: it reads 0, ((0, ()),), and without the term a certain 1
+@example(parse("qubits 3\ncnot 0 1\nh 0\ncnot 1 2\ncnot 0 1\nh 0\nmeasure 2\n"), 0, 40)
 @settings(max_examples=300, deadline=None)
 def test_compiled_executor_matches_the_dense_oracle(circuit, seed, shots):
     # differential: the compiled map against the dense amplitudes, byte for
@@ -608,6 +611,40 @@ def test_a_bare_pcg64_runs_as_its_generator(circuit, seed, shots, message, n_pai
     assert transmit_message(message, n_pairs, bare) == transmit_message(message, n_pairs, generator)
     assert bare.state == generator.bit_generator.state
     assert bare.seed_seq.n_children_spawned == generator.bit_generator.seed_seq.n_children_spawned
+
+
+@given(st.integers(0, 2**4100 - 1),
+       st.lists(st.one_of(st.tuples(st.integers(0, 40)), st.tuples(st.integers(0, 6), st.integers(0, 6))),
+                min_size=2, max_size=4))
+@example(0, [(3,), (2, 0)])
+@example(2**32 - 1, [(0,), (5, 3)])
+@example(2**32, [(4, 0), (7,)])
+@example(2**128, [(1,), (3, 3)])
+@example(2**160 + 2**96 + 7, [(9,), (2, 5)])  # six words: entropy past SeedSequence's 4-word pool
+@settings(max_examples=200, deadline=None)
+def test_python_pcg64_computes_the_stream_of_pcg64(seed, shapes):
+    # seeding (SeedSequence, then PCG64's set-seed) and each output, across
+    # successive draws, as numpy computes them
+    python, numpy = dsl._PyPCG64(seed), np.random.PCG64(seed)
+    for shape in shapes:
+        raw, expected = python.random_raw(shape), numpy.random_raw(shape)
+        assert raw.dtype == expected.dtype and raw.shape == expected.shape
+        np.testing.assert_array_equal(raw, expected)
+
+
+@pytest.mark.parametrize("seed", [0, 2**70 + 3])
+@pytest.mark.parametrize("past, stream", [(0, dsl._PyPCG64), (1, np.random.PCG64)],
+                         ids=["at-the-constant", "one-shot-past"])
+def test_run_computes_a_small_draw_in_python_with_the_same_output(monkeypatch, seed, past, stream):
+    # bell.qc measures twice: half the constant in shots draws the constant
+    path, shots = CIRCUITS / "bell.qc", cli._PY_PCG64_DRAWS // 2 + past
+    streams = []
+    monkeypatch.setattr(cli, "_histogram", lambda outcomes, count, rng: (
+        streams.append(type(rng)) or dsl._histogram(outcomes, count, rng)))
+    rows = cmd_run(argparse.Namespace(file=str(path), shots=shots, seed=seed))
+    assert streams == [stream]
+    expected = dsl._histogram(dsl._compile(load(path)), shots, np.random.PCG64(seed))
+    assert [(row["outcome"], row["count"]) for row in rows] == sorted(expected.items())
 
 
 def test_execute_x_gate_prepares_deterministic_outcome():

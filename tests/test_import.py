@@ -1,8 +1,9 @@
 """`import qsignal` exports exactly the public names it imports, and loads
 numpy without OpenBLAS's worker threads, leaving the environment as it
 found it; `import qsignal.cli` loads no module that only some commands
-use. A seeded command loads none of numpy.random's ``Generator``, its
-legacy half, ``secrets`` and OpenSSL's hashes, and a later ``import numpy.random``,
+use. A small `run` loads no numpy.random module at all. A seeded command
+loads none of numpy.random's ``Generator``, its legacy half, ``secrets``
+and OpenSSL's hashes, and a later ``import numpy.random``,
 ``import secrets`` or ``import hmac`` gets the real module; the stubs that
 make this so are skipped when they are not safe, and an ``ImportError``
 under them falls back to the plain import. Each case runs in a fresh
@@ -118,6 +119,21 @@ def test_cli_loads_no_module_its_commands_do_not_run(tmp_path):
         "print(json.dumps([loaded, [m for m in unused if m in sys.modules]]))")
     assert after_import == []
     assert after_block == []
+
+
+@pytest.mark.parametrize("shots, loaded", [(["--shots", "100"], False), ([], True)],
+                         ids=["100 shots", "default shots"])
+def test_only_a_run_past_the_python_draw_limit_loads_numpy_random(shots, loaded):
+    # 100 shots of bell.qc's two measurements draw 200 outputs, which
+    # `dsl._PyPCG64` computes; the default 10^4 shots import PCG64
+    bell = str(Path(__file__).resolve().parents[1] / "circuits" / "bell.qc")
+    code, modules = run_fresh(
+        "import io, sys\nimport qsignal.cli\nsys.stdout = io.StringIO()\n"
+        f"code = qsignal.cli.main(['run', {bell!r}, *{shots!r}, '--seed', '0'])\n"
+        "sys.stdout = sys.__stdout__\n"
+        "print(json.dumps([code, [m for m in sys.modules if m.startswith('numpy.random')]]))")
+    assert code == 0
+    assert ("numpy.random._pcg64" in modules) if loaded else (modules == [])
 
 
 # A seeded command in a fresh interpreter after ``before`` has run: its exit
