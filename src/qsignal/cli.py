@@ -14,7 +14,6 @@ the first record's keys.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
@@ -44,15 +43,18 @@ _FORMATS = ("json", "csv")
 
 # argparse names a converter that raises ValueError in its message
 # ("invalid count value: 'abc'"), so the converters carry user-facing names.
+# Each imports argparse only to refuse a value, which argparse then reports.
 def count(text: str) -> int:
     value = int(text)
     if value < 1:
+        import argparse
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
     return value
 
 
 def seed(text: str) -> int:
     if (value := int(text)) < 0:
+        import argparse
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
     return value
 
@@ -60,12 +62,14 @@ def seed(text: str) -> int:
 def probability(text: str) -> float:
     value = float(text)
     if not 0.0 <= value <= 1.0:
+        import argparse
         raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {value}")
     return value
 
 
 def _bit_string(text: str) -> str:
     if not re.match(r"[01]+\Z", text):
+        import argparse
         raise argparse.ArgumentTypeError(f"must be a non-empty string of 0s and 1s, got {text!r}")
     return text
 
@@ -186,50 +190,75 @@ def cmd_transmit(args) -> dict:
     }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_FORMAT = dict(choices=_FORMATS, default=None,
+               help=f"output format (default: ${FORMAT_ENV_VAR} or json)")
+_BIT = dict(type=int, choices=(0, 1), required=True)
+_SEED = dict(type=seed, required=True)
+# The grammar: each command's handler, help summary and own arguments, as the
+# name and keywords of each ``add_argument`` call after --format.
+_COMMANDS = {
+    "exact": (cmd_exact, "exact receiver distribution for one sent bit", {"--bit": _BIT}),
+    "ancilla": (cmd_ancilla, "receiver distribution under the unitary ancilla model",
+                {"--bit": _BIT}),
+    "block": (cmd_block, "Monte Carlo OR-decoded block statistics", {
+        "--n": dict(type=count, required=True, help="pairs per block"), "--bit": _BIT,
+        "--trials": dict(type=count, default=100_000), "--seed": _SEED,
+        "--workers": dict(type=count, default=1)}),
+    "channel": (cmd_channel, "information measures of the induced block channel", {
+        "--n": dict(type=count, required=True, help="pairs per block"),
+        "--prior": dict(type=probability, default=None,
+                        help="input prior P(send 1); omit to report capacity")}),
+    "run": (cmd_run, "interpret a .qc circuit file", {
+        "file": {}, "--shots": dict(type=count, default=10_000), "--seed": _SEED}),
+    "transmit": (cmd_transmit, "send a bit string through OR-decoded blocks", {
+        "--message": dict(type=_bit_string, required=True),
+        "--n": dict(type=count, default=10, help="pairs per block"), "--seed": _SEED}),
+}
+
+
+def _build_parser():
+    """The argparse parser of `_COMMANDS`, built only for help and errors."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="qsignal",
         description="Entangled-pair signalling protocol: simulation and channel analysis.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, handler, summary) -> argparse.ArgumentParser:
-        """A subcommand that takes --format and runs ``handler``; the caller adds its own arguments."""
+    for name, (handler, summary, arguments) in _COMMANDS.items():
         p = sub.add_parser(name, help=summary)
-        p.add_argument("--format", choices=_FORMATS, default=None,
-                       help=f"output format (default: ${FORMAT_ENV_VAR} or json)")
+        for argument, options in {"--format": _FORMAT, **arguments}.items():
+            p.add_argument(argument, **options)
         p.set_defaults(handler=handler)
-        return p
-
-    p = command("exact", cmd_exact, "exact receiver distribution for one sent bit")
-    p.add_argument("--bit", type=int, choices=(0, 1), required=True)
-
-    p = command("ancilla", cmd_ancilla, "receiver distribution under the unitary ancilla model")
-    p.add_argument("--bit", type=int, choices=(0, 1), required=True)
-
-    p = command("block", cmd_block, "Monte Carlo OR-decoded block statistics")
-    p.add_argument("--n", type=count, required=True, help="pairs per block")
-    p.add_argument("--bit", type=int, choices=(0, 1), required=True)
-    p.add_argument("--trials", type=count, default=100_000)
-    p.add_argument("--seed", type=seed, required=True)
-    p.add_argument("--workers", type=count, default=1)
-
-    p = command("channel", cmd_channel, "information measures of the induced block channel")
-    p.add_argument("--n", type=count, required=True, help="pairs per block")
-    p.add_argument("--prior", type=probability, default=None,
-                   help="input prior P(send 1); omit to report capacity")
-
-    p = command("run", cmd_run, "interpret a .qc circuit file")
-    p.add_argument("file")
-    p.add_argument("--shots", type=count, default=10_000)
-    p.add_argument("--seed", type=seed, required=True)
-
-    p = command("transmit", cmd_transmit, "send a bit string through OR-decoded blocks")
-    p.add_argument("--message", type=_bit_string, required=True)
-    p.add_argument("--n", type=count, default=10, help="pairs per block")
-    p.add_argument("--seed", type=seed, required=True)
-
     return parser
+
+
+def _parse_args(argv: list[str]) -> types.SimpleNamespace:
+    """argparse's namespace for ``argv``, read off `_COMMANDS` with no parser
+    built when ``argv`` is well formed: a command, then only its exact flags,
+    each followed by a value that does not start with "-", and its one
+    positional; every value passes its ``type`` and ``choices`` as argparse
+    checks them, the last of a repeated flag wins, and every required argument
+    is given. Anything else, help and every error among it, goes to argparse,
+    whose start-up (gettext, locale, one parser per command) costs more than
+    most commands' work."""
+    try:
+        handler, _, own = _COMMANDS[argv[0]]
+        arguments, given = {"--format": _FORMAT, **own}, {}
+        free = [a for a in own if a[0] != "-"]  # the positional still to come, if any
+        tokens = iter(argv[1:])
+        for token in tokens:
+            name, text = (token, next(tokens)) if token[:1] == "-" else (free.pop(), token)
+            options = arguments[name]
+            value = options.get("type", str)(text)
+            if text[:1] == "-" or value not in options.get("choices", [value]):
+                raise ValueError(text)
+            given[name] = value
+        if free or any(o.get("required") and a not in given for a, o in own.items()):
+            raise ValueError(argv)
+    except Exception:  # an unknown token, a missing value or a refused one: argparse's to report
+        return _build_parser().parse_args(argv)
+    return types.SimpleNamespace(command=argv[0], handler=handler, **{
+        a.lstrip("-"): given.get(a, o.get("default")) for a, o in arguments.items()})
 
 
 def _write(payload: dict | list[dict], fmt: str) -> None:
@@ -262,8 +291,7 @@ def _write(payload: dict | list[dict], fmt: str) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     fmt = args.format or os.environ.get(FORMAT_ENV_VAR) or "json"
     if fmt not in _FORMATS:
         print(

@@ -1,0 +1,102 @@
+"""Mutants of src/ that the tier-1 tests must kill, and their runner.
+
+    python tests/mutants.py
+
+Each entry of MUTANTS is (module, old, new, why): ``old`` occurs exactly once
+in the module's source, and the mutant replaces it with ``new``. The runner
+copies the tree to a temporary directory, checks that the unchanged copy
+passes tier-1, then applies one mutant at a time and runs tier-1 with ``-x``.
+A mutant is killed when the tests fail or run past TIMEOUT seconds (a mutant
+can loop forever). The runner exits 1 when an old text is not unique or a
+mutant survives. A change that adds a rule adds the mutants that must break it.
+"""
+
+import os
+import shutil
+import signal
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT = 300  # seconds; tier-1 takes about 30 s on 2 vCPUs
+TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors"]
+
+MUTANTS = [
+    ("qsignal.dsl",
+     "sign ^= signs[n + i] ^ (zs[n + i] & x).bit_count() & 1",
+     "sign ^= signs[n + i]",
+     "the determined branch's product term: the 3-qubit @example of the dense-oracle "
+     "property reads a certain 1 where the answer is 0"),
+    ("qsignal.dsl",
+     "np.less(rng.random_raw(out.shape).view(np.int64), 0, out=out)",
+     "np.less_equal(rng.random_raw(out.shape).view(np.int64), 0, out=out)",
+     "a raw output of 0 is a uniform of 0.0, a coin of 0: only crafted raw words reach it"),
+    ("qsignal.cli",
+     'not in options.get("choices", [value])',
+     "not in [value]",
+     "the reader skips choices: exact --bit 2 runs in place of argparse's usage error"),
+    ("qsignal.cli",
+     '(token, next(tokens)) if token[:1] == "-"',
+     '(next(a for a in arguments if a.startswith(token)), next(tokens)) if token[:1] == "-"',
+     "the reader takes a prefix for a flag: run's --s is ambiguous to argparse"),
+    ("qsignal.cli",
+     "handler, _, own = _COMMANDS[argv[0]]",
+     "handler, _, own = _COMMANDS[None]",
+     "the reader declines every line: a canonical command line builds a parser"),
+]
+
+
+def source(module: str, tree: Path = ROOT) -> Path:
+    return tree / "src" / (module.replace(".", "/") + ".py")
+
+
+def tier1_fails(tree: Path) -> bool:
+    """Whether tier-1 fails, or runs past TIMEOUT, on the copy at ``tree``."""
+    # no bytecode: a mutant and the source restored after it may share an mtime
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=os.pathsep.join(
+        filter(None, [str(tree / "src"), os.environ.get("PYTHONPATH")])))
+    child = subprocess.Popen(TIER1, cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                             stderr=subprocess.DEVNULL, start_new_session=True)
+    try:
+        return child.wait(timeout=TIMEOUT) != 0
+    except subprocess.TimeoutExpired:
+        os.killpg(child.pid, signal.SIGKILL)  # the tests' own children too
+        child.wait()
+        return True
+
+
+def main() -> int:
+    repeated = [(module, old) for module, old, _, _ in MUTANTS
+                if source(module).read_text(encoding="utf-8").count(old) != 1]
+    for module, old in repeated:
+        print(f"not exactly once in {module}: {old!r}")
+    if repeated:
+        return 1
+    survived = 0
+    with tempfile.TemporaryDirectory() as scratch:
+        tree = Path(scratch) / "tree"
+        shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".hypothesis", ".pytest_cache", "_out", "*.egg-info"))
+        if tier1_fails(tree):
+            print("tier-1 fails on the unchanged tree: no mutant can be judged")
+            return 1
+        for module, old, new, why in MUTANTS:
+            path = source(module, tree)
+            original = path.read_text(encoding="utf-8")
+            path.write_text(original.replace(old, new), encoding="utf-8")
+            start = time.perf_counter()
+            killed = tier1_fails(tree)
+            path.write_text(original, encoding="utf-8")
+            survived += not killed
+            print(f"{'killed' if killed else 'SURVIVED'} in {time.perf_counter() - start:.0f} s:"
+                  f" {module}: {why}", flush=True)
+    print(f"{len(MUTANTS) - survived} of {len(MUTANTS)} mutants killed")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import io
 import json
 import math
@@ -9,9 +10,12 @@ import sys
 import tracemalloc
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qsignal
 from qsignal import cli, dsl, execute, load
@@ -575,13 +579,89 @@ COMMANDS = {
 def test_every_command_takes_format_first_and_names_its_handler(name):
     parser = cli._build_parser()
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    assert list(subparsers.choices) == list(COMMANDS)
+    assert list(subparsers.choices) == list(COMMANDS) == list(cli._COMMANDS)
     options = [action.option_strings for action in subparsers.choices[name]._actions]
     assert options[:2] == [["-h", "--help"], ["--format"]]
     required, handler = COMMANDS[name]
     args = parser.parse_args([name, *required, "--format", "csv"])
     assert args.format == "csv"
     assert args.handler is handler
+
+
+# Values of each argument: some it takes, then some argparse refuses.
+VALUES = {
+    "--format": (["json", "csv"], ["xml", ""]),
+    "--bit": (["1", "0", "01"], ["2", "one"]),
+    "--n": (["1", "3", "010"], ["0", "1.5"]),
+    "--trials": (["5000", "1"], ["0", "1e3"]),
+    "--workers": (["2", "1"], ["0", "two"]),
+    "--seed": (["0", "7"], ["-1", "x"]),
+    "--prior": (["0.5", "1"], ["1.5", "nan"]),
+    "--shots": (["100", "1"], ["0", "-5"]),
+    "--message": (["0110", "1"], ["012", ""]),
+    "file": ([BELL, "a b.qc", "", "exact"], []),
+}
+# Tokens argparse reads in its own way: abbreviations (--s is ambiguous in run),
+# attached values, help, the end of options, a lone dash, an empty string and a
+# flag without its value.
+ODD = ["--s", "--se", "--f", "--seed=0", "--format=csv", "-h", "--help", "--", "-", "", "--seed"]
+
+
+def piece(argument, value):
+    """The tokens that give ``argument`` its ``value``: a flag and its value, or a positional."""
+    return [argument, value] if argument[0] == "-" else [value]
+
+
+@st.composite
+def command_lines(draw):
+    """A command line of one command's own arguments, in any order, each
+    omitted, given once or repeated, with values it takes or refuses, and now
+    and then a token of ODD."""
+    name = draw(st.sampled_from(list(cli._COMMANDS)))
+    pieces = [piece(argument, draw(st.sampled_from(takes * 3 + refuses)))
+              for argument in ["--format", *cli._COMMANDS[name][2]]
+              for takes, refuses in [VALUES[argument]]
+              for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2])))]
+    if draw(st.integers(0, 3)) == 0:
+        pieces.append([draw(st.sampled_from(ODD))])
+    return [name, *(token for tokens in draw(st.permutations(pieces)) for token in tokens)]
+
+
+def read_quietly(parse, argv):
+    """``vars`` of ``parse(argv)``'s namespace, or the status it exits with."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(parse(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+@given(command_lines())
+@example(["run", BELL, "--s", "1", "--seed", "0"])  # ambiguous: argparse refuses it
+@example(["exact", "--bit", "1", "-"])  # a lone dash is an argument: exact takes none
+@example(["run", "-", "--seed", "0"])  # the same dash is run's file
+@settings(max_examples=300, deadline=None)
+def test_the_reader_gives_argparses_namespace_or_leaves_the_line_to_argparse(argv):
+    with mock.patch.object(cli, "_build_parser", wraps=cli._build_parser) as build:
+        ours = read_quietly(cli._parse_args, argv)
+    if not build.called:
+        assert ours == read_quietly(lambda a: cli._build_parser().parse_args(a), argv)
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_a_canonical_command_line_builds_no_parser(monkeypatch, name):
+    # every argument once, with the first value it takes in the table's order
+    # and with the last one in reverse order, and the required arguments alone
+    arguments = ["--format", *cli._COMMANDS[name][2]]
+    first, last = ([piece(argument, VALUES[argument][0][i]) for argument in arguments]
+                   for i in (0, -1))
+    argvs = [[name, *sum(first, [])], [name, *sum(last[::-1], [])], [name, *COMMANDS[name][0]]]
+    expected = [vars(cli._build_parser().parse_args(argv)) for argv in argvs]
+
+    def refused():
+        raise AssertionError("a parser was built")
+    monkeypatch.setattr(cli, "_build_parser", refused)
+    assert [vars(cli._parse_args(argv)) for argv in argvs] == expected
 
 
 def test_csv_format_for_single_record(capsys):

@@ -99,7 +99,11 @@ def test_cli_loads_no_module_its_commands_do_not_run(tmp_path):
     # PCG64 alone is imported, without the numpy.random package's __init__
     # and with a stub secrets, so no command loads Generator, the legacy
     # generators or hashes anything: coins are read off PCG64's raw outputs.
-    unused = ["concurrent.futures", "logging", "queue", "csv", "encodings.utf_8_sig",
+    # A well-formed command line is read off the command table: argparse, and
+    # the gettext and locale its first message loads, are built only for help
+    # and errors.
+    unused = ["argparse", "gettext", "locale",
+              "concurrent.futures", "logging", "queue", "csv", "encodings.utf_8_sig",
               "hmac", "hashlib", "_hashlib", "secrets", "base64",
               "numpy.random.mtrand", "numpy.random._pickle", "numpy.random._mt19937",
               "numpy.random._philox", "numpy.random._sfc64",
@@ -119,6 +123,38 @@ def test_cli_loads_no_module_its_commands_do_not_run(tmp_path):
         "print(json.dumps([loaded, [m for m in unused if m in sys.modules]]))")
     assert after_import == []
     assert after_block == []
+
+
+# Each command line's exit status, stdout and whether argparse is loaded after
+# it, run in turn in one fresh interpreter; then the help page of `run`.
+ARGPARSE = """
+import io, sys
+import qsignal.cli
+def main(*argv):
+    sys.stdout = io.StringIO()
+    try:
+        code = qsignal.cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    out, sys.stdout = sys.stdout.getvalue(), sys.__stdout__
+    return [code, out, 'argparse' in sys.modules]
+runs = [main(*argv) for argv in {argvs!r}]
+import argparse
+parser = qsignal.cli._build_parser()
+sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+print(json.dumps([runs, sub.choices['run'].format_help()]))
+"""
+
+
+def test_help_and_a_line_the_table_does_not_read_still_go_through_argparse():
+    # --seed=0 is argparse's own form of --seed 0
+    bell = str(Path(__file__).resolve().parents[1] / "circuits" / "bell.qc")
+    argvs = [["run", bell, "--seed", "0"], ["run", bell, "--seed=0"], ["run", "--help"]]
+    (read, attached, help_), page = run_fresh(ARGPARSE.format(argvs=argvs))
+    assert read[0] == 0 and read[2] is False
+    assert attached == [0, read[1], True]
+    assert help_ == [0, page, True]
+    assert page.startswith("usage: qsignal run [-h]")
 
 
 @pytest.mark.parametrize("shots, loaded", [(["--shots", "100"], False), ([], True)],
