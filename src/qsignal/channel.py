@@ -28,7 +28,8 @@ from threading import Thread
 
 import numpy as np
 
-from .dsl import Circuit, Instruction, _check_count, _Outcome, _compile, _draw, _fill_coins, _skip
+from .dsl import (
+    Circuit, Instruction, _check_count, _compile, _draw, _fill_coins, _NumpyStream, _Outcome, _skip)
 from .protocol import (  # noqa: F401
     _COMPILED_CIRCUITS, MAX_TRIALS, AliceAction, _action, _check_pairs, _protocol_circuit)
 
@@ -229,8 +230,7 @@ def channel_capacity(channel: ZChannel) -> tuple[float, float]:
 # --- vectorized Monte Carlo engine ------------------------------------------
 
 
-def _decoded_ones(outcomes: tuple[_Outcome, ...], n_pairs: int, size: int,
-                  stream: np.random.Generator | np.random.PCG64 | np.random.PCG64DXSM) -> int:
+def _decoded_ones(outcomes: tuple[_Outcome, ...], n_pairs: int, size: int, stream: _NumpyStream) -> int:
     """How many of ``size`` blocks of ``n_pairs`` pairs decode 1.
 
     ``outcomes`` is a compiled protocol circuit (`_COMPILED_CIRCUITS`);
@@ -265,8 +265,7 @@ def _chunk_sizes(trials: int) -> list[int]:
     return sizes
 
 
-def _map_chunks(fn, trials: int, rng: np.random.Generator | np.random.PCG64 | np.random.PCG64DXSM,
-                workers: int) -> list:
+def _map_chunks(fn, trials: int, rng: _NumpyStream, workers: int) -> list:
     """``fn(size, stream)`` of each fixed-size chunk of ``trials``, chunk i on child
     stream i into slot i; ``rng.spawn`` makes the streams, of ``rng``'s own kind. The
     caller, as worker 0, starts ``min(workers, chunks) - 1`` helper threads, then each
@@ -315,12 +314,8 @@ def _map_chunks(fn, trials: int, rng: np.random.Generator | np.random.PCG64 | np
     return results
 
 
-def monte_carlo_distribution(
-    action: AliceAction | int,
-    trials: int,
-    rng: np.random.Generator | np.random.PCG64 | np.random.PCG64DXSM,
-    workers: int = 1,
-) -> EmpiricalDistribution:
+def monte_carlo_distribution(action: AliceAction | int, trials: int, rng: _NumpyStream,
+                             workers: int = 1) -> EmpiricalDistribution:
     """Empirical receiver-outcome frequencies over independent pair trials.
 
     Counting is order-insensitive and chunk streams are derived from
@@ -342,13 +337,8 @@ def monte_carlo_distribution(
     )
 
 
-def monte_carlo_block_error(
-    action: AliceAction | int,
-    n_pairs: int,
-    blocks: int,
-    rng: np.random.Generator | np.random.PCG64 | np.random.PCG64DXSM,
-    workers: int = 1,
-) -> BlockErrorEstimate:
+def monte_carlo_block_error(action: AliceAction | int, n_pairs: int, blocks: int,
+                            rng: _NumpyStream, workers: int = 1) -> BlockErrorEstimate:
     """Empirical OR-decode statistics over Monte Carlo blocks.
 
     Each block runs ``n_pairs`` fresh pairs through the pipeline and

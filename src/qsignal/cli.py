@@ -18,13 +18,9 @@ import json
 import os
 import re
 import sys
-import threading
 import types
 from dataclasses import asdict
 from itertools import islice
-from random import SystemRandom
-
-import numpy as np
 
 from .channel import (
     ZChannel,
@@ -34,7 +30,7 @@ from .channel import (
     monte_carlo_block_error,
     mutual_information,
 )
-from .dsl import ParseError, _compile, _histogram, _PyPCG64, load
+from .dsl import ParseError, _compile, _default_rng, _histogram, load
 from .protocol import transmit_message
 
 FORMAT_ENV_VAR = "QSIGNAL_FORMAT"
@@ -72,34 +68,6 @@ def _bit_string(text: str) -> str:
         import argparse
         raise argparse.ArgumentTypeError(f"must be a non-empty string of 0s and 1s, got {text!r}")
     return text
-
-
-def _default_rng(seed: int) -> np.random.PCG64:
-    """``PCG64(seed)``, the bit generator of ``np.random.default_rng(seed)``, for
-    `block`, `transmit` and a `run` above `_PY_PCG64_DRAWS`. Every command reads
-    its coins off the 64-bit outputs (`dsl._fill_coins`), the coins of
-    ``Generator(PCG64(seed))``, so ``Generator`` is never loaded. The package
-    ``numpy.random`` also loads ``Generator`` and its legacy half (``mtrand``
-    and three more bit generators), and its ``secrets`` loads ``hmac`` and
-    ``base64``; no command uses them. While no other thread can see them, the
-    import below finds a stub package that never runs its ``__init__`` and a
-    stub ``secrets`` holding only ``randbits``; a later import gets the real
-    modules, and an ``ImportError`` falls back to ``np.random.PCG64``."""
-    pcg64 = None
-    if threading.active_count() == 1 and not {"numpy.random", "secrets"} & sys.modules.keys():
-        stubs = {"numpy.random": types.ModuleType("numpy.random"), "secrets": types.ModuleType("secrets")}
-        stubs["numpy.random"].__path__ = [os.path.join(np.__path__[0], "random")]
-        stubs["secrets"].randbits = SystemRandom().getrandbits  # what secrets.randbits is
-        sys.modules.update(stubs)
-        try:
-            from numpy.random._pcg64 import PCG64 as pcg64
-        except ImportError:  # pcg64 stays None
-            pass
-        finally:
-            for name, stub in stubs.items():
-                if sys.modules.get(name) is stub:
-                    del sys.modules[name]
-    return (pcg64 or np.random.PCG64)(seed)
 
 
 def cmd_exact(args) -> dict:
@@ -158,17 +126,12 @@ def cmd_channel(args) -> dict:
 
 # Also the CSV header of a run with no outcomes, which has no record to take it from.
 _RUN_FIELDS = ["experiment", "file", "shots", "seed", "outcome", "count", "frequency"]
-# The largest draw, shots x measurements, that `run` computes in Python: importing PCG64
-# takes 1.7-2.0 ms and a `dsl._PyPCG64` output 0.42-0.49 us, so they break even at 3500-4800
-# outputs (fresh interpreters after `import qsignal.cli`, 2-vCPU VM, numpy 2.4.6).
-_PY_PCG64_DRAWS = 1 << 12
 
 
 def cmd_run(args) -> list[dict]:
-    """The file's histogram, its stream from `dsl._PyPCG64` up to `_PY_PCG64_DRAWS` draws."""
+    """The file's histogram, on the stream `dsl._default_rng` makes for shots x measurements draws."""
     outcomes = _compile(load(args.file))
-    rng = (_PyPCG64 if args.shots * len(outcomes) <= _PY_PCG64_DRAWS else _default_rng)(args.seed)
-    histogram = _histogram(outcomes, args.shots, rng)
+    histogram = _histogram(outcomes, args.shots, _default_rng(args.seed, args.shots * len(outcomes)))
     return [
         dict(zip(_RUN_FIELDS, ("run", args.file, args.shots, args.seed,
                                outcome, count, count / args.shots)))

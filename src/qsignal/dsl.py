@@ -20,10 +20,15 @@ from __future__ import annotations
 
 import codecs
 import operator
+import os
 import re
+import sys
+import threading
+import types
 from collections import Counter
 from dataclasses import dataclass
 from itertools import islice, permutations, product
+from random import SystemRandom
 from typing import NamedTuple, TypeAlias
 
 import numpy as np
@@ -87,8 +92,10 @@ _MAX_RECORD_BITS = 40 << 20
 _BATCH_UNIFORMS = 1 << 18
 # A compiled ``measure``: ``(constant, sources)``, a fair coin k being ``(0, (k,))``.
 _Outcome = tuple[int, tuple[int, ...]]
-# A stream `_fill_coins` reads: a Generator, or a bare PCG64, PCG64DXSM or `_PyPCG64`.
-_Stream: TypeAlias = "np.random.Generator | np.random.PCG64 | np.random.PCG64DXSM | _PyPCG64"
+# A numpy stream: a Generator, or a bare PCG64 or PCG64DXSM bit generator.
+_NumpyStream: TypeAlias = "np.random.Generator | np.random.PCG64 | np.random.PCG64DXSM"
+# A stream `_fill_coins` reads: a numpy stream or a `_PyPCG64`.
+_Stream: TypeAlias = "_NumpyStream | _PyPCG64"
 # Runs per call, checked before any draw: shots here, pair runs in `protocol`.
 MAX_TRIALS = 1 << 32
 
@@ -291,17 +298,53 @@ class _PyPCG64:
         return out
 
 
+# The largest draw, in outputs, that `_default_rng` computes in Python: importing PCG64
+# takes 1.7-2.0 ms and a `_PyPCG64` output 0.42-0.49 us, so they break even at 3500-4800
+# outputs (fresh interpreters after `import qsignal.cli`, 2-vCPU VM, numpy 2.4.6).
+_PY_PCG64_DRAWS = 1 << 12
+
+
+def _default_rng(seed: int, draws: int | None = None) -> _Stream:
+    """The stream of ``np.random.default_rng(seed)``'s bit generator for a command
+    that reads ``draws`` outputs: `_PyPCG64(seed)` up to `_PY_PCG64_DRAWS`, else
+    ``PCG64(seed)``, as for `block` and `transmit`, which spawn and pass none.
+    Coins are read off the 64-bit outputs (`_fill_coins`), the coins of
+    ``Generator(PCG64(seed))``, so ``Generator`` is never loaded. The package
+    ``numpy.random`` also loads ``Generator`` and its legacy half (``mtrand``
+    and three more bit generators), and its ``secrets`` loads ``hmac`` and
+    ``base64``; no command uses them. While no other thread can see them, the
+    import below finds a stub package that never runs its ``__init__`` and a
+    stub ``secrets`` holding only ``randbits``; a later import gets the real
+    modules, and an ``ImportError`` falls back to ``np.random.PCG64``."""
+    if draws is not None and draws <= _PY_PCG64_DRAWS:
+        return _PyPCG64(seed)
+    pcg64 = None
+    if threading.active_count() == 1 and not {"numpy.random", "secrets"} & sys.modules.keys():
+        stubs = {"numpy.random": types.ModuleType("numpy.random"), "secrets": types.ModuleType("secrets")}
+        stubs["numpy.random"].__path__ = [os.path.join(np.__path__[0], "random")]
+        stubs["secrets"].randbits = SystemRandom().getrandbits  # what secrets.randbits is
+        sys.modules.update(stubs)
+        try:
+            from numpy.random._pcg64 import PCG64 as pcg64
+        except ImportError:  # pcg64 stays None
+            pass
+        finally:
+            for name, stub in stubs.items():
+                if sys.modules.get(name) is stub:
+                    del sys.modules[name]
+    return (pcg64 or np.random.PCG64)(seed)
+
+
 def _pcg64(rng) -> bool:
     """Whether ``rng`` is a bare PCG64 or PCG64DXSM bit generator, which makes
-    a uniform from one 64-bit output, as ``(raw >> 11) * 2**-53``. Both classes
-    come from their own module: ``np.random.PCG64`` would import the whole
-    package, which `cli._default_rng` leaves unloaded."""
-    from numpy.random._pcg64 import PCG64, PCG64DXSM
-    return isinstance(rng, (PCG64, PCG64DXSM))
+    a uniform from one 64-bit output, as ``(raw >> 11) * 2**-53``. Nothing can be
+    one before their module, ``numpy.random._pcg64``, is loaded, so it is looked
+    up, never imported: an import could load the whole ``numpy.random``."""
+    module = sys.modules.get("numpy.random._pcg64")
+    return module is not None and isinstance(rng, (module.PCG64, module.PCG64DXSM))
 
 
-def _skip(stream: np.random.Generator | np.random.PCG64 | np.random.PCG64DXSM,
-          count: int) -> None:
+def _skip(stream: _NumpyStream, count: int) -> None:
     """Move ``stream`` past ``count`` uniforms as if it had drawn them.
 
     A PCG64 or PCG64DXSM (`_pcg64`), bare or a Generator's, makes one
@@ -390,8 +433,7 @@ def _histogram(outcomes: tuple[_Outcome, ...], shots: int, rng: _Stream) -> dict
     return {text[i * m:(i + 1) * m]: count for i, count in enumerate(counts)}
 
 
-def execute(circuit: Circuit, shots: int,
-            rng: np.random.Generator | np.random.PCG64 | np.random.PCG64DXSM) -> list[RunRecord]:
+def execute(circuit: Circuit, shots: int, rng: _NumpyStream) -> list[RunRecord]:
     """Run the circuit ``shots`` times, each from the ground state.
 
     Shots run in batches through the circuit's compiled map (`_compile`,

@@ -24,7 +24,7 @@ from itertools import islice
 
 import numpy as np
 
-from .dsl import MAX_TRIALS, Circuit, Instruction, _check_count, _compile, _sample
+from .dsl import MAX_TRIALS, Circuit, Instruction, _check_count, _compile, _NumpyStream, _sample
 from .statevector import (
     RandomSource,
     StateVector,
@@ -172,11 +172,7 @@ def run_pair(action: AliceAction | int, rng: RandomSource) -> ProtocolTrace:
     )
 
 
-def run_block(
-    action: AliceAction | int,
-    n_pairs: int,
-    rng: np.random.Generator | np.random.PCG64 | np.random.PCG64DXSM,
-) -> BlockResult:
+def run_block(action: AliceAction | int, n_pairs: int, rng: _NumpyStream) -> BlockResult:
     """Run ``n_pairs`` independent pairs for one message bit.
 
     The decoded bit is the OR of the receiver's outcomes: a single 1
@@ -191,9 +187,7 @@ def run_block(
     return BlockResult(n_pairs, outcomes, int(any(outcomes)))
 
 
-def transmit_message(
-    bits, n_pairs: int, rng: np.random.Generator | np.random.PCG64 | np.random.PCG64DXSM,
-) -> list[int]:
+def transmit_message(bits, n_pairs: int, rng: _NumpyStream) -> list[int]:
     """Send each message bit through its own OR-decoded block.
 
     Block i draws from the i-th child stream spawned from ``rng``

@@ -35,6 +35,19 @@ MUTANTS = [
      "np.less(rng.random_raw(out.shape).view(np.int64), 0, out=out)",
      "np.less_equal(rng.random_raw(out.shape).view(np.int64), 0, out=out)",
      "a raw output of 0 is a uniform of 0.0, a coin of 0: only crafted raw words reach it"),
+    ("qsignal.dsl",
+     "threading.active_count() == 1",
+     "threading.active_count() >= 1",
+     "the stubs go in while a second thread could import numpy.random under them: "
+     "the import test with an idle thread finds the real package unloaded"),
+    ("qsignal.dsl",
+     "draws <= _PY_PCG64_DRAWS",
+     "draws < _PY_PCG64_DRAWS",
+     "a run of exactly _PY_PCG64_DRAWS draws imports numpy's PCG64 in place of _PyPCG64"),
+    ("qsignal.dsl",
+     "return module is not None and isinstance(rng, (module.PCG64, module.PCG64DXSM))",
+     "return False",
+     "a bare PCG64 is read as a Generator: _fill_coins calls the .random it lacks"),
     ("qsignal.cli",
      'not in options.get("choices", [value])',
      "not in [value]",

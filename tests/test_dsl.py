@@ -637,7 +637,7 @@ def test_python_pcg64_computes_the_stream_of_pcg64(seed, shapes):
                          ids=["at-the-constant", "one-shot-past"])
 def test_run_computes_a_small_draw_in_python_with_the_same_output(monkeypatch, seed, past, stream):
     # bell.qc measures twice: half the constant in shots draws the constant
-    path, shots = CIRCUITS / "bell.qc", cli._PY_PCG64_DRAWS // 2 + past
+    path, shots = CIRCUITS / "bell.qc", dsl._PY_PCG64_DRAWS // 2 + past
     streams = []
     monkeypatch.setattr(cli, "_histogram", lambda outcomes, count, rng: (
         streams.append(type(rng)) or dsl._histogram(outcomes, count, rng)))

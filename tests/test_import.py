@@ -1,7 +1,8 @@
 """`import qsignal` exports exactly the public names it imports, and loads
 numpy without OpenBLAS's worker threads, leaving the environment as it
 found it; `import qsignal.cli` loads no module that only some commands
-use. A small `run` loads no numpy.random module at all. A seeded command
+use. A small `run` loads no numpy.random module at all, and neither do
+coins read off a stream that numpy did not make. A seeded command
 loads none of numpy.random's ``Generator``, its legacy half, ``secrets``
 and OpenSSL's hashes, and a later ``import numpy.random``,
 ``import secrets`` or ``import hmac`` gets the real module; the stubs that
@@ -172,6 +173,23 @@ def test_only_a_run_past_the_python_draw_limit_loads_numpy_random(shots, loaded)
     assert ("numpy.random._pcg64" in modules) if loaded else (modules == [])
 
 
+def test_coins_of_a_stream_numpy_did_not_make_load_no_numpy_random():
+    # `dsl._pcg64` looks PCG64 up among the loaded modules, never imports it:
+    # nothing can be a PCG64 before its module is loaded
+    before, coins, after = run_fresh(
+        "import sys, numpy as np\nimport qsignal.dsl as dsl\n"
+        "def loaded(): return [m for m in sys.modules if m.startswith('numpy.random')]\n"
+        "class Plain:\n"
+        "    def random(self, shape): return np.linspace(0.0, 1.0, np.prod(shape)).reshape(shape)\n"
+        "before, out = loaded(), np.empty((2, 3), dtype=bool)\n"
+        "dsl._fill_coins(Plain(), out)\n"
+        "dsl._skip(Plain(), 7)\n"
+        "print(json.dumps([before, out.tolist(), loaded()]))")
+    assert before == []
+    assert coins == [[False, False, False], [True, True, True]]
+    assert after == []
+
+
 # A seeded command in a fresh interpreter after ``before`` has run: its exit
 # status and stdout, which of WATCHED it leaves loaded, and the names of the
 # stubs (modules without a file) it leaves in sys.modules. ``after`` may add
@@ -207,7 +225,7 @@ def test_a_later_import_gets_the_real_numpy_random():
     code, out, loaded, stubs, checks = transmit_fresh(after=(
         "import pickle, numpy as np\n"
         "unbound = ['random' not in vars(np), 'numpy.random' not in sys.modules]\n"
-        "rng = qsignal.cli._default_rng(5)\n"
+        "rng = qsignal.dsl._default_rng(5)\n"
         "import numpy.random\n"
         "from numpy.random import Generator, PCG64\n"
         "from numpy.random.bit_generator import SeedSequence\n"
@@ -215,7 +233,7 @@ def test_a_later_import_gets_the_real_numpy_random():
         "    unbound,\n"
         "    type(rng) is PCG64,\n"
         "    [np.random.default_rng(s).random(5).tolist()\n"
-        "     == Generator(qsignal.cli._default_rng(s)).random(5).tolist()\n"
+        "     == Generator(qsignal.dsl._default_rng(s)).random(5).tolist()\n"
         "     for s in (0, 1, 2**31 - 1, 2**70)],\n"
         "    pickle.loads(pickle.dumps(rng)).random_raw(3).tolist() == rng.random_raw(3).tolist(),\n"
         "    np.random.RandomState(0).rand(),\n"
