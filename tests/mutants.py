@@ -27,10 +27,30 @@ TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
 
 MUTANTS = [
     ("qsignal.dsl",
-     "sign ^= signs[n + i] ^ (zs[n + i] & x).bit_count() & 1",
-     "sign ^= signs[n + i]",
-     "the determined branch's product term: the 3-qubit @example of the dense-oracle "
-     "property reads a certain 1 where the answer is 0"),
+     "constant = ((signs & d).bit_count() ^ cross.bit_count()) & 1",
+     "constant = (signs & d).bit_count() & 1",
+     "the determined branch's cross term: the 3-qubit @example of the dense-oracle "
+     "and reference properties reads a certain 1 where the answer is 0"),
+    ("qsignal.dsl",
+     "signs = (signs ^ rows & product ^ (rows if signs & p else 0)) & ~p",
+     "signs = (signs ^ (rows if signs & p else 0)) & ~p",
+     "the random branch's product mask: the 2-qubit @example of both compile "
+     "properties reads its second outcome as a copy of the coin, not its complement"),
+    ("qsignal.dsl",
+     "signs ^= xs[q] & zs[q]",
+     "signs ^= 0",
+     "h's sign update (H Y H = -Y): the 3-qubit @example of both compile properties "
+     "reads a certain 1 where the answer is 0"),
+    ("qsignal.dsl",
+     "zs[q] ^= zs[ins.args[1]]",
+     "zs[q] ^= 0",
+     "cnot's Z part: the source-cap test's parity chain reads a parity as a "
+     "single coin, and the 3-qubit @example reads a certain 1"),
+    ("qsignal.dsl",
+     "range((n - 2).bit_length())",
+     "range((n - 2).bit_length() - 1)",
+     "the prefix XOR's last step, at 3 qubits its only one: the 3-qubit @example "
+     "loses the cross term of two rows two apart and reads a certain 1"),
     ("qsignal.dsl",
      "np.less(rng.random_raw(out.shape).view(np.int64), 0, out=out)",
      "np.less_equal(rng.random_raw(out.shape).view(np.int64), 0, out=out)",

@@ -36,6 +36,7 @@ from qsignal.dsl import MAX_TRIALS
 from qsignal.statevector import _KERNELS
 
 import dense
+import reference_compile
 from conftest import EDGE_DRAWS, EdgeStream
 
 BELL_TEXT = "qubits 2\nh 1\ncnot 1 0"
@@ -454,6 +455,43 @@ def test_compiled_executor_matches_the_dense_oracle(circuit, seed, shots):
         float(weights[~last].sum()), float(weights[last].sum()))
 
 
+@st.composite
+def wide_circuits(draw):
+    """Circuits of 1-24 qubits and up to 300 statements, gate-heavy (one
+    statement in six a measurement) or measurement-heavy (three in five)."""
+    num_qubits = draw(st.integers(1, 24))
+    mix = draw(st.sampled_from([("h", "x", "cnot", "cnot", "h", "measure"),
+                                ("h", "cnot", "measure", "measure", "measure")]))
+    size, ops = draw(st.integers(0, 300)), []  # a list of free length is seldom long
+    for kind, qubit, offset in draw(st.lists(st.tuples(
+            st.sampled_from(mix), st.integers(0, num_qubits - 1), st.integers(0, 22)),
+            min_size=size, max_size=size)):
+        if kind == "cnot" and num_qubits > 1:  # the target is any other qubit
+            ops.append(Instruction("cnot", (qubit, (qubit + 1 + offset % (num_qubits - 1)) % num_qubits)))
+        else:
+            ops.append(Instruction("x" if kind == "cnot" else kind, (qubit,)))
+    return Circuit(num_qubits, tuple(ops))
+
+
+GHZ24 = "qubits 24\nh 0\n" + "".join(f"cnot {q} {q + 1}\n" for q in range(23))
+
+
+@given(wide_circuits())
+# the dense-oracle property's two circuits whose signs come only from a row
+# product's (-1)^|z1 & x2| term: in the random branch, then the determined one
+@example(parse("qubits 2\nh 0\ncnot 0 1\nh 0\ncnot 0 1\nmeasure 1\nh 0\nmeasure 0\n"))
+@example(parse("qubits 3\ncnot 0 1\nh 0\ncnot 1 2\ncnot 0 1\nh 0\nmeasure 2\n"))
+# a 24-qubit GHZ state read out whole: one coin, then 23 outcomes equal to it
+@example(parse(GHZ24 + "".join(f"measure {q}\n" for q in range(24))))
+@example(parse("qubits 3\nmeasure 2\nmeasure 0\nmeasure 2\n"))  # measurements only
+@example(parse("qubits 4\nh 0\ncnot 0 3\nx 2\n"))  # no measurement
+@settings(max_examples=200, deadline=None)
+def test_compiled_map_matches_the_row_major_reference(circuit):
+    # differential: the column-major tableau against the row-major one it
+    # replaced, at sizes the dense oracle cannot reach
+    assert dsl._compile(circuit) == reference_compile._compile(circuit)
+
+
 @pytest.mark.parametrize("path", [CIRCUITS / "protocol_send1.qc", GOLDEN / "mixed12.qc"], ids=lambda p: p.stem)
 def test_dense_oracle_runs_no_statevector_code(monkeypatch, path):
     # the oracle shares no code with the dense operations it checks: with
@@ -589,6 +627,17 @@ def test_histogram_counts_edge_circuits_across_batches(text, coins):
     assert histogram == expected
     assert sum(histogram.values()) == 1000
     assert len(histogram) == (1000 if coins else 1)
+
+
+@pytest.mark.parametrize("text", ["qubits 2\nx 0\nmeasure 0\nmeasure 1\n", "qubits 2\nh 0\ncnot 0 1\n"],
+                         ids=["no-coins", "no-measurements"])
+def test_histogram_of_a_circuit_without_coins_draws_nothing(text):
+    # every record is the same, so no batch is drawn, even at the shot cap
+    stream = mock.Mock(spec=["random", "random_raw"], **{
+        "random.side_effect": AssertionError("drew"), "random_raw.side_effect": AssertionError("drew")})
+    outcomes = dsl._compile(parse(text))
+    record = "".join(str(constant) for constant, _ in outcomes)
+    assert dsl._histogram(outcomes, MAX_TRIALS, stream) == {record: MAX_TRIALS}
 
 
 @given(circuits(), st.integers(0, 2**32 - 1), st.integers(1, 200),
