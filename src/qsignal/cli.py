@@ -129,9 +129,7 @@ _RUN_FIELDS = ["experiment", "file", "shots", "seed", "outcome", "count", "frequ
 
 
 def cmd_run(args) -> list[dict]:
-    """The file's histogram, on the stream `dsl._default_rng` makes for shots x measurements draws."""
-    outcomes = _compile(load(args.file))
-    histogram = _histogram(outcomes, args.shots, _default_rng(args.seed, args.shots * len(outcomes)))
+    histogram = _histogram(_compile(load(args.file)), args.shots, args.seed)
     return [
         dict(zip(_RUN_FIELDS, ("run", args.file, args.shots, args.seed,
                                outcome, count, count / args.shots)))

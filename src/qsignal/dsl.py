@@ -318,16 +318,14 @@ class _PyPCG64:
         return out
 
 
-# The largest draw, in outputs, that `_default_rng` computes in Python: importing PCG64
+# The largest draw, in outputs, that `_histogram` computes in Python: importing PCG64
 # takes 1.7-2.0 ms and a `_PyPCG64` output 0.42-0.49 us, so they break even at 3500-4800
 # outputs (fresh interpreters after `import qsignal.cli`, 2-vCPU VM, numpy 2.4.6).
 _PY_PCG64_DRAWS = 1 << 12
 
 
-def _default_rng(seed: int, draws: int | None = None) -> _Stream:
-    """The stream of ``np.random.default_rng(seed)``'s bit generator for a command
-    that reads ``draws`` outputs: `_PyPCG64(seed)` up to `_PY_PCG64_DRAWS`, else
-    ``PCG64(seed)``, as for `block` and `transmit`, which spawn and pass none.
+def _default_rng(seed: int) -> np.random.PCG64:
+    """``PCG64(seed)``, the bit generator of ``np.random.default_rng(seed)``.
     Coins are read off the 64-bit outputs (`_fill_coins`), the coins of
     ``Generator(PCG64(seed))``, so ``Generator`` is never loaded. The package
     ``numpy.random`` also loads ``Generator`` and its legacy half (``mtrand``
@@ -336,8 +334,6 @@ def _default_rng(seed: int, draws: int | None = None) -> _Stream:
     import below finds a stub package that never runs its ``__init__`` and a
     stub ``secrets`` holding only ``randbits``; a later import gets the real
     modules, and an ``ImportError`` falls back to ``np.random.PCG64``."""
-    if draws is not None and draws <= _PY_PCG64_DRAWS:
-        return _PyPCG64(seed)
     pcg64 = None
     if threading.active_count() == 1 and not {"numpy.random", "secrets"} & sys.modules.keys():
         stubs = {"numpy.random": types.ModuleType("numpy.random"), "secrets": types.ModuleType("secrets")}
@@ -400,8 +396,8 @@ def _coins(outcomes: tuple[_Outcome, ...], shots: int, rng: _Stream):
 
     ``rng`` is a `_Stream`. A batch fills at most `_BATCH_UNIFORMS` coins,
     shot-major, in one draw (`_fill_coins`). Draws are sequential, so the
-    stream does not depend on the batch size. `_sample` and `_histogram` both
-    read this one loop.
+    stream does not depend on the batch size. `execute`, `_histogram` and
+    `protocol.run_block` all read this one loop.
     """
     shots = _check_count("shots", shots, MAX_TRIALS)
     batch = max(1, _BATCH_UNIFORMS // max(1, len(outcomes)))
@@ -411,17 +407,10 @@ def _coins(outcomes: tuple[_Outcome, ...], shots: int, rng: _Stream):
         yield coins.T
 
 
-def _sample(outcomes: tuple[_Outcome, ...], shots: int, rng: _Stream):
-    """Yield `_draw` bits of ``shots`` runs of a compiled circuit, batch by
-    batch, from the coins of `_coins`."""
-    for coins in _coins(outcomes, shots, rng):
-        yield _draw(outcomes, coins)
-
-
-def _histogram(outcomes: tuple[_Outcome, ...], shots: int, rng: _Stream) -> dict[str, int]:
+def _histogram(outcomes: tuple[_Outcome, ...], shots: int, seed: int) -> dict[str, int]:
     """Count of each record of ``shots`` runs of a compiled circuit, keyed by
-    its bits in program order as a string of 0s and 1s; the draws are those
-    of `_sample`.
+    its bits in program order as a string of 0s and 1s; the coins are those
+    `_coins` draws from the stream of ``np.random.default_rng(seed)``.
 
     A record is a fixed function of its fair coins, and each coin is itself
     one of the outcomes, so distinct coin patterns give distinct records.
@@ -430,7 +419,9 @@ def _histogram(outcomes: tuple[_Outcome, ...], shots: int, rng: _Stream) -> dict
     pattern that occurs is mapped to its record once, through `_draw`.
     Records are at most min(shots, 2^coins); above `_MAX_RECORDS` that
     bound raises ValueError before any draw, as does its product with the
-    record width above `_MAX_RECORD_BITS`.
+    record width above `_MAX_RECORD_BITS`. Only then, and only for a circuit
+    with coins, is the stream made: a `_PyPCG64` for at most `_PY_PCG64_DRAWS`
+    outputs (shots x measurements), else numpy's PCG64 (`_default_rng`).
     """
     coins = sorted(set().union(*(sources for _, sources in outcomes)))
     shots = _check_count("shots", shots, MAX_TRIALS)
@@ -441,8 +432,10 @@ def _histogram(outcomes: tuple[_Outcome, ...], shots: int, rng: _Stream) -> dict
         raise ValueError(f"a run's records hold at most {_MAX_RECORD_BITS} bits;"
                          f" {bound} records of {len(outcomes)} bits could hold {bits}")
     patterns = Counter() if coins else Counter({(): shots})
-    for batch in _coins(outcomes, shots, rng) if coins else ():
-        patterns.update(zip(*(batch[k].tolist() for k in coins)))
+    if coins:
+        rng = _PyPCG64(seed) if shots * len(outcomes) <= _PY_PCG64_DRAWS else _default_rng(seed)
+        for batch in _coins(outcomes, shots, rng):
+            patterns.update(zip(*(batch[k].tolist() for k in coins)))
     table = np.empty((len(outcomes), len(patterns)), dtype=bool)
     table[coins] = np.array(list(patterns), dtype=bool).T
     counts = list(patterns.values())
@@ -465,7 +458,8 @@ def execute(circuit: Circuit, shots: int, rng: _NumpyStream) -> list[RunRecord]:
     ``Generator(rng)`` and leaves its stream where that would.
     """
     measures = [(ins.line, ins.args[0]) for ins in circuit.instructions if ins.op == "measure"]
-    rows = (row for bits in _sample(_compile(circuit), shots, rng) for row in bits.T.tolist())
+    outcomes = _compile(circuit)
+    rows = (row for coins in _coins(outcomes, shots, rng) for row in _draw(outcomes, coins).T.tolist())
     return [RunRecord(shot, tuple(MeasurementRecord(line, qubit, int(bit))
                                   for (line, qubit), bit in zip(measures, row)))
             for shot, row in enumerate(rows)]

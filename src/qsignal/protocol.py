@@ -24,7 +24,7 @@ from itertools import islice
 
 import numpy as np
 
-from .dsl import MAX_TRIALS, Circuit, Instruction, _check_count, _compile, _NumpyStream, _sample
+from .dsl import MAX_TRIALS, Circuit, Instruction, _check_count, _coins, _compile, _draw, _NumpyStream
 from .statevector import (
     RandomSource,
     StateVector,
@@ -182,7 +182,8 @@ def run_block(action: AliceAction | int, n_pairs: int, rng: _NumpyStream) -> Blo
     block of ``Generator(rng)`` and leaves its stream where that would.
     """
     n_pairs, _ = _check_pairs(n_pairs)
-    bits = np.hstack([*_sample(_COMPILED_CIRCUITS[_action(action)], n_pairs, rng)])
+    compiled = _COMPILED_CIRCUITS[_action(action)]
+    bits = np.hstack([_draw(compiled, coins) for coins in _coins(compiled, n_pairs, rng)])
     outcomes = tuple(bits[-1].astype(int).tolist())
     return BlockResult(n_pairs, outcomes, int(any(outcomes)))
 

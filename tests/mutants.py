@@ -61,13 +61,39 @@ MUTANTS = [
      "the stubs go in while a second thread could import numpy.random under them: "
      "the import test with an idle thread finds the real package unloaded"),
     ("qsignal.dsl",
-     "draws <= _PY_PCG64_DRAWS",
-     "draws < _PY_PCG64_DRAWS",
+     "shots * len(outcomes) <= _PY_PCG64_DRAWS",
+     "shots * len(outcomes) < _PY_PCG64_DRAWS",
      "a run of exactly _PY_PCG64_DRAWS draws imports numpy's PCG64 in place of _PyPCG64"),
+    ("qsignal.dsl",
+     "    if coins:\n",
+     "    if True:\n",
+     "a coin-free run makes a stream and draws from it: past the Python draw limit "
+     "it imports numpy's PCG64, which the coin-free import test finds loaded"),
     ("qsignal.dsl",
      "return module is not None and isinstance(rng, (module.PCG64, module.PCG64DXSM))",
      "return False",
      "a bare PCG64 is read as a Generator: _fill_coins calls the .random it lacks"),
+    ("qsignal.channel",
+     "raise errors.pop(min(errors))",
+     "raise errors.pop(max(errors))",
+     "of two recorded chunk failures the higher raises, not the one a serial loop would"),
+    ("qsignal.channel",
+     "drawn = p * m + k + 1",
+     "drawn = p * m + k",
+     "a chunk's skips fall one row short: later source rows are read from the wrong stream positions"),
+    ("qsignal.channel",
+     "if trials % CHUNK_TRIALS:",
+     "if False:",
+     "a partial last chunk is dropped: a trial count off the chunk size counts too few blocks"),
+    ("qsignal.channel",
+     "min(self.n_pairs, 1075)",
+     "min(self.n_pairs, 1074)",
+     "the exact miss probability is capped one pair early: from 1075 pairs on it "
+     "reads 2^-1074, the smallest subnormal, in place of 0.0"),
+    ("qsignal.protocol",
+     "rng.spawn(len(actions))",
+     "rng.spawn(len(actions))[::-1]",
+     "message bit i is sent on child stream n-1-i, not i: the decoded coins come out reversed"),
     ("qsignal.cli",
      'not in options.get("choices", [value])',
      "not in [value]",

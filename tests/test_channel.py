@@ -302,6 +302,37 @@ def test_of_several_failing_chunks_the_lowest_raises(workers):
         channel._map_chunks(chunk, 8 * CHUNK_TRIALS, np.random.default_rng(3), workers)
 
 
+def test_of_two_recorded_failures_the_lower_chunk_raises(monkeypatch):
+    # Two workers, two chunks. The helper waits until the caller has taken
+    # chunk 0, so it takes chunk 1, which raises at once; the caller's chunk 0
+    # raises only once the helper has ended, its failure recorded. Of the two
+    # recorded failures, chunk 0's, the one a serial loop would raise, reaches
+    # the caller. Every wait is bounded, so a regression fails, not hangs.
+    caller, taken, helpers, ran = threading.current_thread(), threading.Event(), [], {}
+
+    class WaitingThread(threading.Thread):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            helpers.append(self)
+
+        def run(self):
+            taken.wait(timeout=30)
+            super().run()
+
+    def chunk(size, stream):
+        ran[threading.current_thread()] = size
+        if threading.current_thread() is caller:
+            taken.set()
+            helpers[0].join(timeout=30)
+        raise ArithmeticError(f"chunk of {size}")
+
+    monkeypatch.setattr(channel, "Thread", WaitingThread)
+    with pytest.raises(ArithmeticError, match=f"^chunk of {CHUNK_TRIALS}$"):
+        channel._map_chunks(chunk, CHUNK_TRIALS + 5, np.random.default_rng(0), 2)
+    assert ran == {caller: CHUNK_TRIALS, helpers[0]: 5}
+    assert not helpers[0].is_alive()
+
+
 def test_a_failing_chunk_stops_the_other_threads():
     # The first chunk a helper thread takes raises, once the caller has taken
     # one. Every other chunk, the caller's among them, waits until that helper

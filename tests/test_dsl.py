@@ -29,7 +29,7 @@ from qsignal import (
     run_block,
     transmit_message,
 )
-from qsignal import OutcomeDistribution, cli, dsl, statevector
+from qsignal import OutcomeDistribution, dsl, statevector
 from qsignal.channel import _receiver_distribution
 from qsignal.cli import cmd_run
 from qsignal.dsl import MAX_TRIALS
@@ -518,13 +518,13 @@ def test_dense_oracle_runs_no_statevector_code(monkeypatch, path):
 @pytest.mark.parametrize("path", [CIRCUITS / "protocol_send1.qc", GOLDEN / "mixed12.qc"], ids=lambda p: p.stem)
 def test_sample_thresholds_edge_draws_as_the_dense_oracle(path):
     # every uniform is 1/2, just below it or 0, drawn batch by batch: the
-    # coins `_sample` thresholds give the oracle's bits, so a draw of exactly
-    # 1/2 must read as outcome 1
+    # coins `_coins` thresholds and `_draw` reads give the oracle's bits, so a
+    # draw of exactly 1/2 must read as outcome 1
     circuit = load(path)
     outcomes = dsl._compile(circuit)
     stream = EdgeStream(21)
     with mock.patch.object(dsl, "_BATCH_UNIFORMS", 64):
-        bits = np.concatenate(list(dsl._sample(outcomes, 100, stream)), axis=1)
+        bits = np.concatenate([dsl._draw(outcomes, coins) for coins in dsl._coins(outcomes, 100, stream)], axis=1)
     uniforms = np.concatenate(stream.drawn).T
     assert len(stream.drawn) > 1 and (uniforms == 0.5).any()
     assert bits.tobytes() == dense.run_batch(circuit, uniforms).tobytes()
@@ -548,7 +548,8 @@ def test_sample_holds_no_amplitudes():
     circuit = parse(ghz_text(24))
     tracemalloc.start()
     try:
-        samples = dsl._sample(dsl._compile(circuit), 1000, np.random.default_rng(0))
+        outcomes = dsl._compile(circuit)
+        samples = (dsl._draw(outcomes, coins) for coins in dsl._coins(outcomes, 1000, np.random.default_rng(0)))
         counts = Counter(tuple(row) for bits in samples for row in bits.T.tolist())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -590,11 +591,11 @@ def test_run_histogram_counts_the_execute_records(tmp_path_factory, circuit, see
 
 
 def unique_histogram(outcomes, shots, rng):
-    """Reference count of whole records: the rows of each `_sample` batch sorted
-    with ``np.unique`` and summed, as `run` once counted them."""
+    """Reference count of whole records: the `_draw` rows of each `_coins` batch
+    sorted with ``np.unique`` and summed, as `run` once counted them."""
     histogram = Counter()
-    for bits in dsl._sample(outcomes, shots, rng):
-        records, counts = np.unique(bits.T, axis=0, return_counts=True)
+    for coins in dsl._coins(outcomes, shots, rng):
+        records, counts = np.unique(dsl._draw(outcomes, coins).T, axis=0, return_counts=True)
         histogram.update({"".join("01"[b] for b in record): count
                           for record, count in zip(records.tolist(), counts.tolist())})
     return histogram
@@ -607,7 +608,7 @@ def test_histogram_counts_the_records_of_sample(circuit, seed, shots):
     # every record sorted, over batches of at most 8 uniforms
     outcomes = dsl._compile(circuit)
     with mock.patch.object(dsl, "_BATCH_UNIFORMS", 8):
-        histogram = dsl._histogram(outcomes, shots, np.random.default_rng(seed))
+        histogram = dsl._histogram(outcomes, shots, seed)
         expected = unique_histogram(outcomes, shots, np.random.default_rng(seed))
     assert histogram == expected
     assert sum(histogram.values()) == shots
@@ -622,7 +623,7 @@ def test_histogram_counts_edge_circuits_across_batches(text, coins):
     outcomes = dsl._compile(parse(text))
     assert sum(outcome == (0, (k,)) for k, outcome in enumerate(outcomes)) == coins
     with mock.patch.object(dsl, "_BATCH_UNIFORMS", 256):
-        histogram = dsl._histogram(outcomes, 1000, np.random.default_rng(6))
+        histogram = dsl._histogram(outcomes, 1000, 6)
         expected = unique_histogram(outcomes, 1000, np.random.default_rng(6))
     assert histogram == expected
     assert sum(histogram.values()) == 1000
@@ -631,13 +632,18 @@ def test_histogram_counts_edge_circuits_across_batches(text, coins):
 
 @pytest.mark.parametrize("text", ["qubits 2\nx 0\nmeasure 0\nmeasure 1\n", "qubits 2\nh 0\ncnot 0 1\n"],
                          ids=["no-coins", "no-measurements"])
-def test_histogram_of_a_circuit_without_coins_draws_nothing(text):
-    # every record is the same, so no batch is drawn, even at the shot cap
-    stream = mock.Mock(spec=["random", "random_raw"], **{
-        "random.side_effect": AssertionError("drew"), "random_raw.side_effect": AssertionError("drew")})
+def test_histogram_of_a_circuit_without_coins_draws_nothing(monkeypatch, text):
+    # every record is the same, so no stream is made and no batch drawn, on
+    # either side of the Python draw limit, even at the shot cap
+    def made(seed):
+        raise AssertionError("stream made")
+
+    monkeypatch.setattr(dsl, "_PyPCG64", made)
+    monkeypatch.setattr(dsl, "_default_rng", made)
     outcomes = dsl._compile(parse(text))
     record = "".join(str(constant) for constant, _ in outcomes)
-    assert dsl._histogram(outcomes, MAX_TRIALS, stream) == {record: MAX_TRIALS}
+    for shots in (1, MAX_TRIALS):
+        assert dsl._histogram(outcomes, shots, 0) == {record: shots}
 
 
 @given(circuits(), st.integers(0, 2**32 - 1), st.integers(1, 200),
@@ -648,11 +654,8 @@ def test_a_bare_pcg64_runs_as_its_generator(circuit, seed, shots, message, n_pai
     # coins read off a bare PCG64's raw outputs are those of Generator(PCG64),
     # at the same stream positions, over batches of at most 8 uniforms
     bare, generator = bit_generator(seed), np.random.Generator(bit_generator(seed))
-    outcomes = dsl._compile(circuit)
     with mock.patch.object(dsl, "_BATCH_UNIFORMS", 8):
         assert execute(circuit, shots, bare) == execute(circuit, shots, generator)
-        assert bare.state == generator.bit_generator.state
-        assert dsl._histogram(outcomes, shots, bare) == dsl._histogram(outcomes, shots, generator)
         assert bare.state == generator.bit_generator.state
     for bit in message:
         assert run_block(bit, n_pairs, bare) == run_block(bit, n_pairs, generator)
@@ -687,12 +690,12 @@ def test_python_pcg64_computes_the_stream_of_pcg64(seed, shapes):
 def test_run_computes_a_small_draw_in_python_with_the_same_output(monkeypatch, seed, past, stream):
     # bell.qc measures twice: half the constant in shots draws the constant
     path, shots = CIRCUITS / "bell.qc", dsl._PY_PCG64_DRAWS // 2 + past
-    streams = []
-    monkeypatch.setattr(cli, "_histogram", lambda outcomes, count, rng: (
-        streams.append(type(rng)) or dsl._histogram(outcomes, count, rng)))
+    expected = unique_histogram(dsl._compile(load(path)), shots, np.random.PCG64(seed))
+    streams, coins = [], dsl._coins
+    monkeypatch.setattr(dsl, "_coins", lambda outcomes, count, rng: (
+        streams.append(type(rng)) or coins(outcomes, count, rng)))
     rows = cmd_run(argparse.Namespace(file=str(path), shots=shots, seed=seed))
     assert streams == [stream]
-    expected = dsl._histogram(dsl._compile(load(path)), shots, np.random.PCG64(seed))
     assert [(row["outcome"], row["count"]) for row in rows] == sorted(expected.items())
 
 

@@ -2,7 +2,7 @@
 numpy without OpenBLAS's worker threads, leaving the environment as it
 found it; `import qsignal.cli` loads no module that only some commands
 use. A small `run` loads no numpy.random module at all, and neither do
-coins read off a stream that numpy did not make. A seeded command
+a `run` that draws no coin and coins read off a stream that numpy did not make. A seeded command
 loads none of numpy.random's ``Generator``, its legacy half, ``secrets``
 and OpenSSL's hashes, and a later ``import numpy.random``,
 ``import secrets`` or ``import hmac`` gets the real module; the stubs that
@@ -171,6 +171,26 @@ def test_only_a_run_past_the_python_draw_limit_loads_numpy_random(shots, loaded)
         "print(json.dumps([code, [m for m in sys.modules if m.startswith('numpy.random')]]))")
     assert code == 0
     assert ("numpy.random._pcg64" in modules) if loaded else (modules == [])
+
+
+@pytest.mark.parametrize("text, shots, status", [
+    ("qubits 2\nx 0\nmeasure 0\nmeasure 1\n", 10_000, 0),
+    ("qubits 1\n" + "h 0\nmeasure 0\n" * 21, 1 << 21, 1),
+], ids=["coin-free", "refused"])
+def test_a_run_that_draws_no_coin_loads_no_numpy_random(tmp_path, text, shots, status):
+    # `dsl._histogram` makes its stream only after the record caps pass, and
+    # only for a circuit with coins: 10^4 shots of a coin-free circuit (20000
+    # outputs, past the Python draw limit) and 2^21 shots of 21 coins, which
+    # the record cap refuses, import no PCG64
+    path = tmp_path / "circuit.qc"
+    path.write_text(text, encoding="utf-8")
+    code, modules = run_fresh(
+        "import io, sys\nimport qsignal.cli\nsys.stdout, sys.stderr = io.StringIO(), io.StringIO()\n"
+        f"code = qsignal.cli.main(['run', {str(path)!r}, '--shots', '{shots}', '--seed', '0'])\n"
+        "sys.stdout, sys.stderr = sys.__stdout__, sys.__stderr__\n"
+        "print(json.dumps([code, [m for m in sys.modules if m.startswith('numpy.random')]]))")
+    assert code == status
+    assert modules == []
 
 
 def test_coins_of_a_stream_numpy_did_not_make_load_no_numpy_random():

@@ -388,6 +388,16 @@ def test_transmit_is_deterministic_per_seed():
     assert first == second
 
 
+def test_transmit_sends_bit_i_on_child_stream_i():
+    # one-pair blocks of bit 1 decode a fair coin each, so the decoded list is
+    # the child streams' coins in spawn order, and reversing it changes it
+    message = [1, 1, 0, 1, 1, 1, 0, 1]
+    streams = np.random.default_rng(16).spawn(len(message))
+    expected = [run_block(bit, 1, stream).decoded_bit for bit, stream in zip(message, streams)]
+    assert expected != expected[::-1]
+    assert transmit_message(message, 1, np.random.default_rng(16)) == expected
+
+
 def test_transmit_rejects_empty_message():
     with pytest.raises(ValueError):
         transmit_message([], 10, np.random.default_rng(0))
