@@ -85,7 +85,7 @@ _MAX_DIGITS = 640
 _MAX_FILE_BYTES = 1 << 24
 _MAX_SOURCES = 1 << 20  # sources `_compile` holds in all; k measures can name k(k+1)/2
 # Distinct records `_histogram` may hold, and their bits in all (a coin also costs
-# about 9 bytes a record while patterns are counted); the README gives peaks at both.
+# about 9 bytes a record while patterns are counted); CHANGES.md records the peaks at both.
 _MAX_RECORDS = 1 << 20
 _MAX_RECORD_BITS = 40 << 20
 # `_coins` draws at most this many uniforms (2 MiB) per batch of shots.
@@ -291,7 +291,9 @@ class _PyPCG64:
     are 128-bit LCG steps through XSL-RR (O'Neill, "PCG", HMC-CS-2014-0905)."""
 
     def __init__(self, seed: int):
-        entropy = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+        if seed < 0:  # as numpy's SeedSequence refuses it
+            raise ValueError("expected non-negative integer")
+        entropy = [seed >> s & _M32 for s in range(0, seed.bit_length(), 32)]
         const, mult = 0x43B0D7E5, 0x931E8875  # SeedSequence's INIT_A and MULT_A
 
         def hashmix(value: int) -> int:
@@ -333,7 +335,9 @@ def _default_rng(seed: int) -> np.random.PCG64:
     ``base64``; no command uses them. While no other thread can see them, the
     import below finds a stub package that never runs its ``__init__`` and a
     stub ``secrets`` holding only ``randbits``; a later import gets the real
-    modules, and an ``ImportError`` falls back to ``np.random.PCG64``."""
+    modules, and an ``ImportError`` falls back to ``np.random.PCG64``. The one
+    lasting trace: that later package leaves ``bit_generator`` and ``_pcg64``
+    unbound as its attributes, though importing them by name works."""
     pcg64 = None
     if threading.active_count() == 1 and not {"numpy.random", "secrets"} & sys.modules.keys():
         stubs = {"numpy.random": types.ModuleType("numpy.random"), "secrets": types.ModuleType("secrets")}

@@ -21,7 +21,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TIMEOUT = 300  # seconds; tier-1 takes about 30 s on 2 vCPUs
+TIMEOUT = 300  # seconds; tier-1 takes about 45 s on a 2-vCPU Xeon VM
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
          "--continue-on-collection-errors"]
 
@@ -70,6 +70,11 @@ MUTANTS = [
      "a coin-free run makes a stream and draws from it: past the Python draw limit "
      "it imports numpy's PCG64, which the coin-free import test finds loaded"),
     ("qsignal.dsl",
+     "if seed < 0:",
+     "if False:",
+     "_PyPCG64(-1) gives the stream of seed 2^32 - 1 where numpy's PCG64(-1) raises: "
+     "a negative seed runs below the Python draw limit and fails above it"),
+    ("qsignal.dsl",
      "return module is not None and isinstance(rng, (module.PCG64, module.PCG64DXSM))",
      "return False",
      "a bare PCG64 is read as a Generator: _fill_coins calls the .random it lacks"),
@@ -106,6 +111,15 @@ MUTANTS = [
      "handler, _, own = _COMMANDS[argv[0]]",
      "handler, _, own = _COMMANDS[None]",
      "the reader declines every line: a canonical command line builds a parser"),
+    ("qsignal.cli",
+     'if text[:1] == "-" or value not in',
+     "if value not in",
+     "the reader takes a value that starts with a dash: channel --prior -0. runs where "
+     "argparse, which reads -0. as a flag, refuses it"),
+    ("qsignal.statevector",
+     'numpy_bool = getattr(value, "dtype", None) == bool and value.ndim == 0',
+     'numpy_bool = getattr(value, "dtype", None) == bool',
+     "a one-element bool array reads as its bit: np.array([True]) is taken for 1, not refused"),
 ]
 
 

@@ -596,7 +596,7 @@ VALUES = {
     "--trials": (["5000", "1"], ["0", "1e3"]),
     "--workers": (["2", "1"], ["0", "two"]),
     "--seed": (["0", "7"], ["-1", "x"]),
-    "--prior": (["0.5", "1"], ["1.5", "nan"]),
+    "--prior": (["0.5", "1"], ["1.5", "nan", "-0."]),
     "--shots": (["100", "1"], ["0", "-5"]),
     "--message": (["0110", "1"], ["012", ""]),
     "file": ([BELL, "a b.qc", "", "exact"], []),
@@ -640,6 +640,7 @@ def read_quietly(parse, argv):
 @example(["run", BELL, "--s", "1", "--seed", "0"])  # ambiguous: argparse refuses it
 @example(["exact", "--bit", "1", "-"])  # a lone dash is an argument: exact takes none
 @example(["run", "-", "--seed", "0"])  # the same dash is run's file
+@example(["channel", "--n", "1", "--prior", "-0."])  # probability takes it; argparse reads a flag
 @settings(max_examples=300, deadline=None)
 def test_the_reader_gives_argparses_namespace_or_leaves_the_line_to_argparse(argv):
     with mock.patch.object(cli, "_build_parser", wraps=cli._build_parser) as build:

@@ -699,6 +699,14 @@ def test_run_computes_a_small_draw_in_python_with_the_same_output(monkeypatch, s
     assert [(row["outcome"], row["count"]) for row in rows] == sorted(expected.items())
 
 
+@pytest.mark.parametrize("shots", [1, dsl._PY_PCG64_DRAWS + 1], ids=["python", "numpy"])
+def test_histogram_refuses_a_negative_seed_on_both_sides_of_the_python_draw_limit(shots):
+    # _PyPCG64 refuses seed -1 as numpy's PCG64 does, not as the stream of 2^32 - 1
+    outcomes = dsl._compile(parse("qubits 1\nh 0\nmeasure 0\n"))
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        dsl._histogram(outcomes, shots, -1)
+
+
 def test_execute_x_gate_prepares_deterministic_outcome():
     circuit = parse("qubits 2\nx 1\nmeasure 0\nmeasure 1")
     records = execute(circuit, 10, np.random.default_rng(7))

@@ -52,6 +52,8 @@ def _cli_cases() -> dict[str, list[str]]:
                     add(f"block-bit{bit}-seed{seed}-workers{workers}", "block", "--n", "3",
                         "--bit", str(bit), "--trials", "70000", "--seed", str(seed),
                         "--workers", str(workers))
+            # 2000 shots of one or two measurements draw at most 4096 outputs, so these
+            # pin the Python PCG64 of `run`; mixed12's 60000 shots pin numpy's
             for path in CIRCUITS:
                 add(f"run-{Path(path).stem}-seed{seed}", "run", path, "--shots", "2000",
                     "--seed", str(seed))

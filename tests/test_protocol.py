@@ -109,7 +109,7 @@ SENDER_ENTRY_POINTS = {
 def test_sender_bit_is_the_int_0_or_1_at_every_entry_point(name):
     # a float is rejected, never read as MEASURE, as transmit_message does
     run = SENDER_ENTRY_POINTS[name]
-    for bit in (1.0, 0.0, 0.5, "1", 2, np.array([1]), np.array(1.0), np.float64(1.0)):
+    for bit in (1.0, 0.0, 0.5, "1", 2, np.array([1]), np.array([True]), np.array(1.0), np.float64(1.0)):
         with pytest.raises(ValueError, match=f"^action must be 0 or 1, got {re.escape(repr(bit))}$"):
             run(bit)
     for bit in (True, np.int64(1), AliceAction.MEASURE, np.True_, np.array(True)):

@@ -382,7 +382,7 @@ def test_collapse_qubit_rejects_tiny_branch():
 
 
 def test_collapse_qubit_rejects_bad_outcome():
-    for outcome in (2, 1.0, 0.0, -1, "1"):
+    for outcome in (2, 1.0, 0.0, -1, "1", np.array([True])):
         with pytest.raises(ValueError, match=f"^outcome must be 0 or 1, got {re.escape(repr(outcome))}$"):
             collapse_qubit(new_ground_state(2), 0, outcome)
 
