@@ -10,10 +10,15 @@ base-10 non-negative integers):
     stmt    := 'qubits' INT | 'h' INT | 'x' INT | 'cnot' INT INT
              | 'measure' INT
 
+A blank line holds any whitespace; a comment's '#' may follow spaces only.
 The 'qubits' declaration must appear exactly once, before any other
 statement. Files use UTF-8 text, with a leading byte-order mark ignored,
 hold at most 16 MiB and conventionally carry the `.qc` extension. Every
-diagnostic but 'missing qubits declaration' names its line.
+diagnostic but 'missing qubits declaration' names its line. Of several
+errors, the first in line order that a line shows alone (its mnemonic,
+operand count, integers, or the place, uniqueness and count of the
+'qubits' declaration) is reported; only a file with none reports its
+first statement whose qubit operands are out of range or repeat.
 """
 
 from __future__ import annotations
@@ -48,15 +53,19 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class Circuit:
-    """Validated program: qubit count plus the statements after it, as `parse` checks them."""
+    """Validated program: qubit count plus the statements after it. The operands of
+    every statement, parsed or built by hand, are checked here only; a parsed
+    statement's error names its line."""
 
     num_qubits: int
     instructions: tuple[Instruction, ...]
 
     def __post_init__(self):
-        errors = (_statement_error(ins.op, ins.args, self.num_qubits) for ins in self.instructions)
-        if error := _qubit_count_error(self.num_qubits) or next(filter(None, errors), None):
+        if error := _qubit_count_error(self.num_qubits):
             raise ParseError(error)
+        for ins in self.instructions:  # a parsed statement's error names its line
+            if error := _statement_error(ins.op, ins.args, self.num_qubits):
+                raise ParseError(error, ins.line or None)
 
 
 class MeasurementRecord(NamedTuple):
@@ -144,12 +153,10 @@ def parse(text: str) -> Circuit:
             continue
         if num_qubits is None:
             raise ParseError("statement before qubits declaration", lineno)
-        if error := _statement_error(op, args, num_qubits):
-            raise ParseError(error, lineno)
         instructions.append(Instruction(op, tuple(args), lineno))
     if num_qubits is None:
         raise ParseError("missing qubits declaration")
-    return Circuit(num_qubits, tuple(instructions))
+    return Circuit(num_qubits, tuple(instructions))  # which checks each statement's operands
 
 
 def render(circuit: Circuit) -> str:
@@ -261,22 +268,22 @@ def _compile(circuit: Circuit) -> tuple[_Outcome, ...]:
     return tuple(outcomes)
 
 
-def _draw(outcomes: tuple[_Outcome, ...], coins: np.ndarray) -> np.ndarray:
-    """Outcome bits of the given compiled entries, one row per entry and one
-    column per shot, by one rule: an entry's bit is its constant XOR its
-    source coins. Row j of the bool ``coins`` is ``uniforms[j] >= 0.5``
-    for the draws of the j-th ``measure``, and only source rows are read,
-    so a subset of entries (the receiver's alone, say) needs only its
-    sources drawn and thresholded. Every Born probability is 0, 1/2 or 1,
-    so this is the dense rule (outcome 0 iff the draw is below p0) bit for bit."""
-    bits = np.empty((len(outcomes), *coins.shape[1:]), dtype=bool)
+def _draw(outcomes: tuple[_Outcome, ...], coins):
+    """Outcome bits of the given compiled entries by one rule: an entry's bit
+    is its constant XOR its source coins, written with ``^``. ``coins[j]`` is
+    the j-th ``measure``'s coin, ``uniform >= 0.5``: either row j of a bool
+    array, one column per shot, which gives a bool array of one row per entry
+    and one column per shot; or a Python int 0 or 1 (of a list, or a dict
+    keyed by measurement), which gives a list of one int per entry. Only source
+    coins are read, so a subset of entries (the receiver's alone, say) needs
+    only its sources drawn and thresholded. Every Born probability is 0, 1/2
+    or 1, so this is the dense rule (outcome 0 iff the draw is below p0) bit for bit."""
+    shape = getattr(coins, "shape", None)
+    bits = [0] * len(outcomes) if shape is None else np.empty((len(outcomes), *shape[1:]), dtype=bool)
     for k, (constant, sources) in enumerate(outcomes):
-        if sources:  # written in one pass from its first source
-            np.not_equal(coins[sources[0]], bool(constant), out=bits[k])
-        else:
-            bits[k] = constant
-        for j in sources[1:]:
-            bits[k] ^= coins[j]
+        bits[k] = bool(constant)
+        for j in sources:
+            bits[k] ^= coins[j]  # in place on a row: numpy skips storing a row into itself
     return bits
 
 
@@ -286,12 +293,14 @@ _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 class _PyPCG64:
     """The stream of numpy's ``PCG64(seed)`` for an int ``seed >= 0`` in Python
-    ints, so no numpy.random module loads; ``random_raw`` is its one method. It
-    seeds as numpy's ``SeedSequence`` and PCG64's set-seed do, and its outputs
-    are 128-bit LCG steps through XSL-RR (O'Neill, "PCG", HMC-CS-2014-0905)."""
+    ints, with no numpy call, so no numpy.random module loads; ``random_raw``,
+    its one method, gives the next raw outputs as a list of ints. It seeds as
+    numpy's ``SeedSequence`` and PCG64's set-seed do (a seed that is not an int
+    is a TypeError, a bool is 0 or 1), and its outputs are 128-bit LCG steps
+    through XSL-RR (O'Neill, "PCG", HMC-CS-2014-0905)."""
 
     def __init__(self, seed: int):
-        if seed < 0:  # as numpy's SeedSequence refuses it
+        if (seed := operator.index(seed)) < 0:  # as numpy's SeedSequence refuses it
             raise ValueError("expected non-negative integer")
         entropy = [seed >> s & _M32 for s in range(0, seed.bit_length(), 32)]
         const, mult = 0x43B0D7E5, 0x931E8875  # SeedSequence's INIT_A and MULT_A
@@ -311,18 +320,18 @@ class _PyPCG64:
         self._inc = (w2 << 64 | w3) << 1 | 1  # set-seed, high words first; bit 128 never shows
         self._state = ((self._inc + (w0 << 64 | w1)) * _PCG64_MULT + self._inc) & _M128
 
-    def random_raw(self, shape: tuple[int, ...]) -> np.ndarray:
-        out, state, inc, words = np.empty(shape, dtype=np.uint64), self._state, self._inc, []
-        for _ in range(out.size):  # XSL-RR: the state's halves XORed, rotated by its top 6 bits
+    def random_raw(self, count: int) -> list[int]:
+        state, inc, words = self._state, self._inc, []
+        for _ in range(count):  # XSL-RR: the state's halves XORed, rotated by its top 6 bits
             state = (state * _PCG64_MULT + inc) & _M128
             words.append(((x := (state >> 64 ^ state) & _M64) | x << 64) >> (state >> 122) & _M64)
-        self._state, out.flat = state, words
-        return out
+        self._state = state
+        return words
 
 
-# The largest draw, in outputs, that `_histogram` computes in Python: importing PCG64
-# takes 1.7-2.0 ms and a `_PyPCG64` output 0.42-0.49 us, so they break even at 3500-4800
-# outputs (fresh interpreters after `import qsignal.cli`, 2-vCPU VM, numpy 2.4.6).
+# The largest draw, in outputs, that `_histogram` computes in Python: at 4096 outputs
+# (2048 shots of bell.qc) the Python branch took 2.44 ms and the numpy one 2.37 ms, each
+# the first call after `import qsignal.cli` (fresh interpreters, 2-vCPU VM, numpy 2.4.6).
 _PY_PCG64_DRAWS = 1 << 12
 
 
@@ -382,23 +391,27 @@ def _skip(stream: _NumpyStream, count: int) -> None:
         stream.random(count)
 
 
-def _fill_coins(rng: _Stream, out: np.ndarray) -> None:
-    """Write ``rng``'s next ``out.size`` coins, uniforms ``>= 0.5``, into the
-    bool array ``out`` in one draw, laid out as ``rng.random(out.shape)``. A
-    `_PyPCG64`'s coin, or a bare PCG64 or PCG64DXSM's (`_pcg64`), is the top bit
-    of its raw output. This is the only code that turns a stream into coins."""
-    if isinstance(rng, _PyPCG64) or _pcg64(rng):
+def _fill_coins(rng: _Stream, out) -> None:
+    """Write ``rng``'s next coins, uniforms ``>= 0.5``, into ``out`` in one draw.
+    A `_PyPCG64` fills the list ``out`` with Python ints 0 and 1, one per raw
+    output, in order. A numpy stream fills the bool array ``out``, laid out as
+    ``rng.random(out.shape)``. A `_PyPCG64`'s coin, or a bare PCG64 or
+    PCG64DXSM's (`_pcg64`), is the top bit of its 64-bit raw output. This is
+    the only code that turns a stream into coins."""
+    if isinstance(rng, _PyPCG64):
+        out[:] = [word >> 63 for word in rng.random_raw(len(out))]
+    elif _pcg64(rng):
         np.less(rng.random_raw(out.shape).view(np.int64), 0, out=out)
     else:
         np.greater_equal(rng.random(out.shape), 0.5, out=out)
 
 
-def _coins(outcomes: tuple[_Outcome, ...], shots: int, rng: _Stream):
+def _coins(outcomes: tuple[_Outcome, ...], shots: int, rng: _NumpyStream):
     """Yield the coins of ``shots`` runs of a compiled circuit (`_compile`),
     batch by batch, as `_draw` reads them: one row per measurement and one
     column per shot, laid out as ``rng.random((shots, measurements)).T``.
 
-    ``rng`` is a `_Stream`. A batch fills at most `_BATCH_UNIFORMS` coins,
+    ``rng`` is a `_NumpyStream`. A batch fills at most `_BATCH_UNIFORMS` coins,
     shot-major, in one draw (`_fill_coins`). Draws are sequential, so the
     stream does not depend on the batch size. `execute`, `_histogram` and
     `protocol.run_block` all read this one loop.
@@ -424,8 +437,11 @@ def _histogram(outcomes: tuple[_Outcome, ...], shots: int, seed: int) -> dict[st
     Records are at most min(shots, 2^coins); above `_MAX_RECORDS` that
     bound raises ValueError before any draw, as does its product with the
     record width above `_MAX_RECORD_BITS`. Only then, and only for a circuit
-    with coins, is the stream made: a `_PyPCG64` for at most `_PY_PCG64_DRAWS`
-    outputs (shots x measurements), else numpy's PCG64 (`_default_rng`).
+    with coins, is the stream made: numpy's PCG64 (`_default_rng`), or for at
+    most `_PY_PCG64_DRAWS` outputs (shots x measurements) a `_PyPCG64`. That
+    run stays in Python ints from its first coin to its last record, one
+    batch of them: it neither imports numpy's PCG64 nor makes any numpy call,
+    whose first call in a process costs tens of microseconds each.
     """
     coins = sorted(set().union(*(sources for _, sources in outcomes)))
     shots = _check_count("shots", shots, MAX_TRIALS)
@@ -436,9 +452,14 @@ def _histogram(outcomes: tuple[_Outcome, ...], shots: int, seed: int) -> dict[st
         raise ValueError(f"a run's records hold at most {_MAX_RECORD_BITS} bits;"
                          f" {bound} records of {len(outcomes)} bits could hold {bits}")
     patterns = Counter() if coins else Counter({(): shots})
+    if shots * len(outcomes) <= _PY_PCG64_DRAWS:
+        if coins:  # the rows of `_coins`' one batch are this list's every m-th item
+            _fill_coins(_PyPCG64(seed), flat := [0] * (shots * len(outcomes)))
+            patterns.update(zip(*(flat[k::len(outcomes)] for k in coins)))
+        return {"".join("01"[bit] for bit in _draw(outcomes, dict(zip(coins, pattern)))): count
+                for pattern, count in patterns.items()}
     if coins:
-        rng = _PyPCG64(seed) if shots * len(outcomes) <= _PY_PCG64_DRAWS else _default_rng(seed)
-        for batch in _coins(outcomes, shots, rng):
+        for batch in _coins(outcomes, shots, _default_rng(seed)):
             patterns.update(zip(*(batch[k].tolist() for k in coins)))
     table = np.empty((len(outcomes), len(patterns)), dtype=bool)
     table[coins] = np.array(list(patterns), dtype=bool).T

@@ -56,6 +56,11 @@ MUTANTS = [
      "np.less_equal(rng.random_raw(out.shape).view(np.int64), 0, out=out)",
      "a raw output of 0 is a uniform of 0.0, a coin of 0: only crafted raw words reach it"),
     ("qsignal.dsl",
+     "out[:] = [word >> 63 for word in rng.random_raw(len(out))]",
+     "out[:] = [word >> 62 & 1 for word in rng.random_raw(len(out))]",
+     "a Python coin reads the raw output's second bit: the crafted raw words and the "
+     "Python branch's property against numpy's PCG64 read other coins"),
+    ("qsignal.dsl",
      "threading.active_count() == 1",
      "threading.active_count() >= 1",
      "the stubs go in while a second thread could import numpy.random under them: "
@@ -65,19 +70,52 @@ MUTANTS = [
      "shots * len(outcomes) < _PY_PCG64_DRAWS",
      "a run of exactly _PY_PCG64_DRAWS draws imports numpy's PCG64 in place of _PyPCG64"),
     ("qsignal.dsl",
+     "        if coins:  #",
+     "        if True:  #",
+     "a small coin-free run makes a _PyPCG64 and draws from it, which the "
+     "draws-nothing test finds made"),
+    ("qsignal.dsl",
      "    if coins:\n",
      "    if True:\n",
-     "a coin-free run makes a stream and draws from it: past the Python draw limit "
-     "it imports numpy's PCG64, which the coin-free import test finds loaded"),
+     "a coin-free run past the Python draw limit makes numpy's PCG64 and draws from "
+     "it, which the draws-nothing test and the coin-free import test find"),
     ("qsignal.dsl",
-     "if seed < 0:",
-     "if False:",
+     "(seed := operator.index(seed)) < 0",
+     "seed < 0",
+     "a float seed is an AttributeError below the Python draw limit where numpy's "
+     "PCG64 raises TypeError above it"),
+    ("qsignal.dsl",
+     "(seed := operator.index(seed)) < 0:",
+     "False:",
      "_PyPCG64(-1) gives the stream of seed 2^32 - 1 where numpy's PCG64(-1) raises: "
      "a negative seed runs below the Python draw limit and fails above it"),
     ("qsignal.dsl",
      "return module is not None and isinstance(rng, (module.PCG64, module.PCG64DXSM))",
      "return False",
      "a bare PCG64 is read as a Generator: _fill_coins calls the .random it lacks"),
+    ("qsignal.dsl",
+     "raise ParseError(error, ins.line or None)",
+     "raise ParseError(error)",
+     "a parsed statement's operand error loses its line: 'cnot 0 0' on line 2 "
+     "reads without ', line 2'"),
+    ("qsignal.dsl",
+     "ins.line or None)",
+     "ins.line)",
+     "a hand-built statement's operand error names line 0, the default of a "
+     "statement that was never parsed"),
+    ("qsignal.dsl",
+     'if raw.lstrip(" ").startswith("#"):',
+     'if raw.lstrip().startswith("#"):',
+     "a comment indented by a tab is read as a comment, where only spaces may "
+     "indent one: '\\t# note' is an unknown mnemonic"),
+    ("qsignal.dsl",
+     "if not raw.strip():",
+     'if not raw.strip(" "):',
+     "a line holding only a tab or a form feed is an unknown mnemonic, not a blank"),
+    ("qsignal.dsl",
+     "    return parse(text)\n",
+     '    return parse(text.replace("\\r", ""))\n',
+     "load drops CR: a file whose lines end at CR alone reads as one line"),
     ("qsignal.channel",
      "raise errors.pop(min(errors))",
      "raise errors.pop(max(errors))",

@@ -66,6 +66,14 @@ def test_parse_skips_comments_and_blanks():
     assert circuit.instructions[0].line == 6
 
 
+@pytest.mark.parametrize("space", ["\t", "\x0c", " \t\x0b "], ids=["tab", "form-feed", "mixed"])
+def test_parse_reads_a_line_of_any_whitespace_as_blank(space):
+    # a blank line is any whitespace, though only spaces separate tokens
+    circuit = parse(f"qubits 1\n{space}\nh 0")
+    assert circuit.instructions == (Instruction("h", (0,)),)
+    assert circuit.instructions[0].line == 3
+
+
 def test_parse_tolerates_extra_spaces_between_tokens():
     circuit = parse("qubits   2\ncnot  1   0")
     assert circuit.instructions == (Instruction("cnot", (1, 0)),)
@@ -99,6 +107,8 @@ def test_parse_tolerates_extra_spaces_between_tokens():
           for sep in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029" for end in ("\n", "\r\n", "\r")],
         # control characters in a token are escaped, not sent to the terminal
         ("qubits 2\nh 0\x0c", "malformed integer '0\\x0c', line 2"),
+        # only spaces may indent a comment
+        ("qubits 1\n\t# note\nh 0", "unknown mnemonic '\\t#', line 2"),
         ("qubits 2\n\x1b[2Jh 0", "unknown mnemonic '\\x1b[2Jh', line 2"),
     ],
 )
@@ -121,6 +131,22 @@ def test_operand_length_limit_ignores_int_digit_limit(limit):
     assert str(excinfo.value) == "integer of 641 digits is too long, line 2"
 
 
+@pytest.mark.parametrize("text, message", [
+    ("qubits 2\nh 5\nfoo 1", "unknown mnemonic 'foo', line 3"),
+    ("qubits 2\ncnot 0 0\nh x", "malformed integer 'x', line 3"),
+    ("qubits 2\nh 5\nqubits 3", "duplicate qubits declaration, line 3"),
+    ("qubits 2\nh 5\ncnot 0 0", "qubit index 5 out of range for 2 qubit(s), line 2"),
+    ("qubits 2\ncnot 1 1\nh 9", "cnot operands must differ, line 2"),
+], ids=["mnemonic", "integer", "declaration", "range-first", "repeat-first"])
+def test_parse_reports_a_line_error_before_any_operand_error(text, message):
+    # of two errors, one that a line shows alone wins wherever it is; only
+    # then does the first out-of-range or repeated operand, in line order
+    with pytest.raises(ParseError) as excinfo:
+        parse(text)
+    assert str(excinfo.value) == message
+    assert excinfo.value.line == int(message.rsplit(" ", 1)[1])
+
+
 def test_parse_error_carries_line_attribute():
     with pytest.raises(ParseError) as excinfo:
         parse("qubits 2\n\ncnot 1 1")
@@ -139,6 +165,19 @@ def test_load_names_the_line_of_a_byte_that_is_not_utf8(tmp_path):
         load(path)
     assert str(excinfo.value) == "byte 0xe9 is not UTF-8, line 3"
     assert excinfo.value.line == 3
+
+
+@pytest.mark.parametrize("end", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+def test_load_reads_crlf_and_cr_line_ends(tmp_path, end):
+    path = tmp_path / "ends.qc"
+    lines = [b"qubits 2", b"h 1", b"cnot 1 0"]
+    path.write_bytes(end.join(lines) + end)
+    circuit = load(path)
+    assert circuit == parse("qubits 2\nh 1\ncnot 1 0\n")
+    assert [ins.line for ins in circuit.instructions] == [2, 3]
+    path.write_bytes(end.join([*lines, b"measure 5"]) + end)
+    with pytest.raises(ParseError, match=r"^qubit index 5 out of range for 2 qubit\(s\), line 4$"):
+        load(path)
 
 
 def test_load_ignores_a_leading_byte_order_mark(tmp_path):
@@ -676,12 +715,12 @@ def test_a_bare_pcg64_runs_as_its_generator(circuit, seed, shots, message, n_pai
 @settings(max_examples=200, deadline=None)
 def test_python_pcg64_computes_the_stream_of_pcg64(seed, shapes):
     # seeding (SeedSequence, then PCG64's set-seed) and each output, across
-    # successive draws, as numpy computes them
+    # successive draws, as numpy computes them, in a list of Python ints
     python, numpy = dsl._PyPCG64(seed), np.random.PCG64(seed)
     for shape in shapes:
-        raw, expected = python.random_raw(shape), numpy.random_raw(shape)
-        assert raw.dtype == expected.dtype and raw.shape == expected.shape
-        np.testing.assert_array_equal(raw, expected)
+        raw, expected = python.random_raw(math.prod(shape)), numpy.random_raw(shape).ravel().tolist()
+        assert type(raw) is list and all(type(word) is int for word in raw)
+        assert raw == expected
 
 
 @pytest.mark.parametrize("seed", [0, 2**70 + 3])
@@ -691,12 +730,48 @@ def test_run_computes_a_small_draw_in_python_with_the_same_output(monkeypatch, s
     # bell.qc measures twice: half the constant in shots draws the constant
     path, shots = CIRCUITS / "bell.qc", dsl._PY_PCG64_DRAWS // 2 + past
     expected = unique_histogram(dsl._compile(load(path)), shots, np.random.PCG64(seed))
-    streams, coins = [], dsl._coins
-    monkeypatch.setattr(dsl, "_coins", lambda outcomes, count, rng: (
-        streams.append(type(rng)) or coins(outcomes, count, rng)))
+    streams, fill = [], dsl._fill_coins
+    monkeypatch.setattr(dsl, "_fill_coins", lambda rng, out: streams.append(type(rng)) or fill(rng, out))
     rows = cmd_run(argparse.Namespace(file=str(path), shots=shots, seed=seed))
     assert streams == [stream]
     assert [(row["outcome"], row["count"]) for row in rows] == sorted(expected.items())
+
+
+@given(circuits(), st.integers(0, 2**64 - 1), st.integers(1, dsl._PY_PCG64_DRAWS))
+@example(parse(BELL_TEXT + "\nmeasure 0\nmeasure 1"), 0, dsl._PY_PCG64_DRAWS)
+@example(parse("qubits 1\nh 0\nmeasure 0"), 2**64 - 1, dsl._PY_PCG64_DRAWS)
+@settings(max_examples=100, deadline=None)
+def test_python_histogram_equals_the_numpy_branch_at_and_below_the_draw_limit(circuit, seed, draws):
+    # the Python branch, Python ints from the first coin to the last record,
+    # against `_coins` + `_draw` on numpy's own PCG64(seed)
+    outcomes = dsl._compile(circuit)
+    shots = max(1, draws // max(1, len(outcomes)))
+    with mock.patch.object(dsl, "_default_rng", side_effect=AssertionError("numpy stream made")):
+        histogram = dsl._histogram(outcomes, shots, seed)
+    assert histogram == unique_histogram(outcomes, shots, np.random.PCG64(seed))
+
+
+class NoNumpy:
+    """Stands in for numpy: any attribute read fails."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} used")
+
+
+def test_a_small_histogram_makes_no_numpy_call(monkeypatch):
+    outcomes = dsl._compile(load(CIRCUITS / "bell.qc"))
+    expected = unique_histogram(outcomes, 100, np.random.PCG64(9))
+    monkeypatch.setattr(dsl, "np", NoNumpy())
+    assert dsl._histogram(outcomes, 100, 9) == expected
+
+
+@pytest.mark.parametrize("shots", [100, dsl._PY_PCG64_DRAWS + 1], ids=["python", "numpy"])
+def test_histogram_refuses_a_seed_that_is_not_an_int_on_both_sides_of_the_python_draw_limit(shots):
+    # a float seed is numpy's TypeError on both sides, not an AttributeError
+    # below the limit; a bool seed is 0 or 1 on both
+    with pytest.raises(TypeError):
+        dsl._histogram(((0, (0,)),), shots, 1.0)
+    assert dsl._histogram(((0, (0,)),), shots, True) == dsl._histogram(((0, (0,)),), shots, 1)
 
 
 @pytest.mark.parametrize("shots", [1, dsl._PY_PCG64_DRAWS + 1], ids=["python", "numpy"])
